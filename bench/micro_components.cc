@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths: the
- * cache tag walk, TLB lookup, inverted-page-table lookup, synthetic
- * trace generation, Rambus pricing, and whole-hierarchy access.
+ * cache tag walk, TLB lookup (hit and miss), insert and invalidate,
+ * inverted-page-table lookup, synthetic trace generation, Rambus
+ * pricing, and whole-hierarchy access.
  * These document the simulator's own performance (references per
  * second), which bounds how far RAMPAGE_FULL-scale runs can go.
  */
@@ -55,6 +56,59 @@ BM_TlbLookup(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TlbLookup);
+
+/** A full paper TLB (64 entries, fully associative) over vpns 0-63. */
+Tlb
+fullTlb()
+{
+    Tlb tlb;
+    for (std::uint64_t vpn = 0; vpn < 64; ++vpn)
+        tlb.insert(0, vpn, vpn);
+    return tlb;
+}
+
+void
+BM_TlbLookupMiss(benchmark::State &state)
+{
+    Tlb tlb = fullTlb();
+    Rng rng(2);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            tlb.lookup(0, 64 + rng.below(4096)).hit);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TlbLookupMiss);
+
+void
+BM_TlbInsert(benchmark::State &state)
+{
+    // Every insert is a new page, so each one evicts a random victim.
+    Tlb tlb = fullTlb();
+    std::uint64_t vpn = 64;
+    for (auto _ : state) {
+        tlb.insert(0, vpn, vpn);
+        ++vpn;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TlbInsert);
+
+void
+BM_TlbInvalidate(benchmark::State &state)
+{
+    // Invalidate a resident page and refill the freed way, the TLB
+    // side of a RAMpage page replacement (§2.3).
+    Tlb tlb = fullTlb();
+    Rng rng(4);
+    for (auto _ : state) {
+        std::uint64_t vpn = rng.below(64);
+        benchmark::DoNotOptimize(tlb.invalidate(0, vpn));
+        tlb.insert(0, vpn, vpn);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TlbInvalidate);
 
 void
 BM_IptLookup(benchmark::State &state)

@@ -14,6 +14,8 @@ InvertedPageTable::InvertedPageTable(std::uint64_t frames, Addr table_vbase)
     : vbase(table_vbase)
 {
     RAMPAGE_ASSERT(frames > 0, "page table needs at least one frame");
+    RAMPAGE_ASSERT(frames <= maxFrames,
+                   "frame count exceeds 32-bit table links");
     entries.assign(frames, Entry{});
     // A quarter anchor per frame (load factor <= 4): the table must
     // stay close to the paper's ~20 bytes-per-frame reserve budget
@@ -66,7 +68,7 @@ InvertedPageTable::lookup(Pid pid, std::uint64_t vpn,
 
     IptLookup result;
     ++lookupCount;
-    std::uint64_t frame = anchors[bucket];
+    std::uint32_t frame = anchors[bucket];
     while (frame != noFrame) {
         const Entry &entry = entries[frame];
         RAMPAGE_ASSERT(entry.valid, "chained entry must be valid");
@@ -96,7 +98,7 @@ InvertedPageTable::insert(std::uint64_t frame, Pid pid, std::uint64_t vpn)
     entry.vpn = vpn;
     entry.valid = true;
     entry.next = anchors[bucket];
-    anchors[bucket] = frame;
+    anchors[bucket] = static_cast<std::uint32_t>(frame);
     ++nMapped;
 }
 
@@ -109,7 +111,7 @@ InvertedPageTable::remove(std::uint64_t frame)
         return false;
 
     std::uint64_t bucket = hashOf(entry.pid, entry.vpn);
-    std::uint64_t *link = &anchors[bucket];
+    std::uint32_t *link = &anchors[bucket];
     while (*link != noFrame && *link != frame)
         link = &entries[*link].next;
     RAMPAGE_ASSERT(*link == frame, "frame missing from its hash chain");
@@ -150,7 +152,7 @@ InvertedPageTable::auditState(AuditContext &ctx) const
     std::vector<bool> reached(entries.size(), false);
     std::uint64_t reachable = 0;
     for (std::uint64_t bucket = 0; bucket < anchors.size(); ++bucket) {
-        std::uint64_t frame = anchors[bucket];
+        std::uint32_t frame = anchors[bucket];
         std::uint64_t hops = 0;
         while (frame != noFrame) {
             if (!ctx.check(frame < entries.size(), "ipt.chain",
@@ -220,7 +222,7 @@ InvertedPageTable::corruptUnlink(std::uint64_t frame)
         return false;
     Entry &entry = entries[frame];
     std::uint64_t bucket = hashOf(entry.pid, entry.vpn);
-    std::uint64_t *link = &anchors[bucket];
+    std::uint32_t *link = &anchors[bucket];
     while (*link != noFrame && *link != frame)
         link = &entries[*link].next;
     if (*link != frame)

@@ -61,6 +61,9 @@ class InvertedPageTable
      */
     InvertedPageTable(std::uint64_t frames, Addr table_vbase);
 
+    /** Largest frame count the table can index. */
+    static constexpr std::uint64_t maxFrames = ~std::uint32_t{0};
+
     /**
      * Find the frame mapping (pid, vpn).
      * @param probe_addrs when non-null, receives the virtual address
@@ -116,21 +119,27 @@ class InvertedPageTable
     bool corruptUnlink(std::uint64_t frame);
 
   private:
+    /**
+     * Host entry, 16 bytes.  Its layout is independent of the modelled
+     * table image (iptEntryBytes per entry, 8-byte anchors), which
+     * alone decides probe addresses and the pinned reserve.
+     */
     struct Entry
     {
-        Pid pid = 0;
         std::uint64_t vpn = 0;
-        std::uint64_t next = noFrame; ///< hash chain link
+        std::uint32_t next = noFrame; ///< hash chain link
+        Pid pid = 0;
         bool valid = false;
     };
 
-    static constexpr std::uint64_t noFrame = ~std::uint64_t{0};
+    /** Chain terminator; PageStore rejects frame counts reaching it. */
+    static constexpr std::uint32_t noFrame = ~std::uint32_t{0};
 
     std::uint64_t hashOf(Pid pid, std::uint64_t vpn) const;
     Addr anchorAddr(std::uint64_t bucket) const;
 
     std::vector<Entry> entries;
-    std::vector<std::uint64_t> anchors; ///< bucket -> first frame
+    std::vector<std::uint32_t> anchors; ///< bucket -> first frame
     std::uint64_t anchorMask;
     Addr vbase;
     std::uint64_t nMapped = 0;

@@ -68,6 +68,12 @@ PageStore::PageStore(const PageStoreParams &params)
     std::uint64_t bonus = blocks * prm.tagBytesPerBlock;
     totalBytes = prm.baseSramBytes + alignDown(bonus, floorLog2(prm.pageBytes));
     nFrames = totalBytes / prm.pageBytes;
+    if (nFrames > InvertedPageTable::maxFrames)
+        throw ConfigError(
+            "SRAM frame count %llu exceeds the page table's 32-bit "
+            "frame links (at most %llu frames)",
+            static_cast<unsigned long long>(nFrames),
+            static_cast<unsigned long long>(InvertedPageTable::maxFrames));
 
     // The table is sized for every frame; the pinned reserve is the
     // table image plus the fixed OS code/data, rounded up to frames.

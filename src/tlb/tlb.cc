@@ -1,5 +1,7 @@
 #include "tlb/tlb.hh"
 
+#include <algorithm>
+
 #include "stats/registry.hh"
 #include "util/audit.hh"
 #include "util/bitops.hh"
@@ -42,6 +44,15 @@ Tlb::Tlb(const TlbParams &params) : prm(params), rng(params.seed)
     if (!isPowerOfTwo(nSets))
         throw ConfigError("TLB set count must be a power of two");
     entries.assign(prm.entries, Entry{});
+    setValid.assign(nSets, 0);
+    // Four index positions per entry keep probe chains about one
+    // position long; at least eight so the hash shift stays < 64.
+    std::uint64_t positions =
+        std::uint64_t{1} << ceilLog2(std::max<std::uint64_t>(
+            4 * std::uint64_t{prm.entries}, 8));
+    index.assign(positions, noSlot);
+    indexMask = positions - 1;
+    indexShift = 64 - floorLog2(positions);
 }
 
 std::uint64_t
@@ -52,22 +63,24 @@ Tlb::setOf(Pid pid, std::uint64_t vpn) const
     return key & (nSets - 1);
 }
 
-Tlb::Entry *
-Tlb::find(Pid pid, std::uint64_t vpn)
+void
+Tlb::unindex(std::uint64_t pos)
 {
-    Entry *base = &entries[setOf(pid, vpn) * nWays];
-    for (unsigned w = 0; w < nWays; ++w) {
-        Entry &entry = base[w];
-        if (entry.valid && entry.pid == pid && entry.vpn == vpn)
-            return &entry;
+    // Backward-shift deletion: walk the cluster after the hole and
+    // pull back every entry whose home position does not lie
+    // (cyclically) between the hole and where it sits, so no probe
+    // chain ever crosses an empty position.
+    std::uint64_t hole = pos;
+    for (std::uint64_t at = (pos + 1) & indexMask; index[at] != noSlot;
+         at = (at + 1) & indexMask) {
+        const Entry &entry = entries[index[at]];
+        std::uint64_t home = indexHome(entry.pid, entry.vpn);
+        if (((at - home) & indexMask) >= ((at - hole) & indexMask)) {
+            index[hole] = index[at];
+            hole = at;
+        }
     }
-    return nullptr;
-}
-
-const Tlb::Entry *
-Tlb::find(Pid pid, std::uint64_t vpn) const
-{
-    return const_cast<Tlb *>(this)->find(pid, vpn);
+    index[hole] = noSlot;
 }
 
 TlbLookup
@@ -81,13 +94,13 @@ TlbLookup
 Tlb::lookup(Pid pid, std::uint64_t vpn, std::uint32_t &slot_out)
 {
     ++useCounter;
-    Entry *entry = find(pid, vpn);
-    if (entry) {
+    std::uint32_t slot = slotOf(pid, vpn);
+    if (slot != noSlot) {
         ++stat.hits;
         if (prm.lruReplacement)
-            entry->stamp = useCounter;
-        slot_out = static_cast<std::uint32_t>(entry - entries.data());
-        return TlbLookup{true, entry->frame};
+            entries[slot].stamp = useCounter;
+        slot_out = slot;
+        return TlbLookup{true, entries[slot].frame};
     }
     ++stat.misses;
     RAMPAGE_DPRINTF(Tlb, "miss pid=%u vpn=0x%llx",
@@ -99,24 +112,22 @@ Tlb::lookup(Pid pid, std::uint64_t vpn, std::uint32_t &slot_out)
 std::uint32_t
 Tlb::slotOf(Pid pid, std::uint64_t vpn) const
 {
-    const Entry *entry = find(pid, vpn);
-    return entry ? static_cast<std::uint32_t>(entry - entries.data())
-                 : noSlot;
+    return index[indexPos(pid, vpn)];
 }
 
 bool
 Tlb::probe(Pid pid, std::uint64_t vpn) const
 {
-    return find(pid, vpn) != nullptr;
+    return slotOf(pid, vpn) != noSlot;
 }
 
 bool
 Tlb::peek(Pid pid, std::uint64_t vpn, std::uint64_t &frame_out) const
 {
-    const Entry *entry = find(pid, vpn);
-    if (!entry)
+    std::uint32_t slot = slotOf(pid, vpn);
+    if (slot == noSlot)
         return false;
-    frame_out = entry->frame;
+    frame_out = entries[slot].frame;
     return true;
 }
 
@@ -126,21 +137,26 @@ Tlb::insert(Pid pid, std::uint64_t vpn, std::uint64_t frame)
     ++useCounter;
     ++gen;
     // Refresh in place when the mapping is already present.
-    if (Entry *entry = find(pid, vpn)) {
-        entry->frame = frame;
-        entry->stamp = useCounter;
+    std::uint64_t pos = indexPos(pid, vpn);
+    if (index[pos] != noSlot) {
+        Entry &entry = entries[index[pos]];
+        entry.frame = frame;
+        entry.stamp = useCounter;
         return;
     }
 
-    Entry *base = &entries[setOf(pid, vpn) * nWays];
+    std::uint64_t set = setOf(pid, vpn);
+    Entry *base = &entries[set * nWays];
     Entry *slot = nullptr;
-    for (unsigned w = 0; w < nWays; ++w) {
-        if (!base[w].valid) {
-            slot = &base[w];
-            break;
+    if (setValid[set] < nWays) {
+        for (unsigned w = 0; w < nWays; ++w) {
+            if (!base[w].valid) {
+                slot = &base[w];
+                break;
+            }
         }
-    }
-    if (!slot) {
+        ++setValid[set];
+    } else {
         if (prm.lruReplacement) {
             slot = base;
             for (unsigned w = 1; w < nWays; ++w)
@@ -149,7 +165,11 @@ Tlb::insert(Pid pid, std::uint64_t vpn, std::uint64_t frame)
         } else {
             slot = &base[rng.below(nWays)];
         }
+        // The backward shift may move the end of (pid, vpn)'s chain.
+        unindex(indexPos(slot->pid, slot->vpn));
+        pos = indexPos(pid, vpn);
     }
+    index[pos] = static_cast<std::uint32_t>(slot - entries.data());
     slot->valid = true;
     slot->pid = pid;
     slot->vpn = vpn;
@@ -160,10 +180,12 @@ Tlb::insert(Pid pid, std::uint64_t vpn, std::uint64_t frame)
 bool
 Tlb::invalidate(Pid pid, std::uint64_t vpn)
 {
-    Entry *entry = find(pid, vpn);
-    if (!entry)
+    std::uint64_t pos = indexPos(pid, vpn);
+    if (index[pos] == noSlot)
         return false;
-    entry->valid = false;
+    entries[index[pos]].valid = false;
+    --setValid[setOf(pid, vpn)];
+    unindex(pos);
     ++gen;
     ++stat.flushes;
     RAMPAGE_DPRINTF(Tlb, "invalidate pid=%u vpn=0x%llx",
@@ -178,6 +200,8 @@ Tlb::flushAll()
     ++gen;
     for (Entry &entry : entries)
         entry.valid = false;
+    std::fill(setValid.begin(), setValid.end(), 0u);
+    std::fill(index.begin(), index.end(), noSlot);
 }
 
 unsigned
@@ -225,6 +249,51 @@ Tlb::auditState(AuditContext &ctx) const
                       static_cast<unsigned long long>(
                           entries[j].frame));
         }
+    }
+
+    // tlb.index: the host index names exactly the valid entries, each
+    // on its own probe chain, and the per-set valid counts that gate
+    // the free-way scan are exact.  Bounded walks only, so a corrupt
+    // index is reported rather than looped on.
+    std::uint64_t population = 0;
+    for (std::uint64_t pos = 0; pos < index.size(); ++pos) {
+        std::uint32_t slot = index[pos];
+        if (slot == noSlot)
+            continue;
+        ++population;
+        ctx.check(slot < entries.size() && entries[slot].valid,
+                  "tlb.index", "index position %llu names %s slot %u",
+                  static_cast<unsigned long long>(pos),
+                  slot < entries.size() ? "invalid" : "out-of-range",
+                  static_cast<unsigned>(slot));
+    }
+    ctx.check(population == validEntries(), "tlb.index",
+              "index holds %llu entries but %u are valid",
+              static_cast<unsigned long long>(population),
+              validEntries());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (!entries[i].valid)
+            continue;
+        bool reachable = false;
+        std::uint64_t pos = indexHome(entries[i].pid, entries[i].vpn);
+        for (std::uint64_t hops = 0;
+             hops < index.size() && index[pos] != noSlot && !reachable;
+             ++hops, pos = (pos + 1) & indexMask)
+            reachable = index[pos] == i;
+        ctx.check(reachable, "tlb.index",
+                  "valid slot %zu (pid=%u vpn=0x%llx) unreachable "
+                  "through the index",
+                  i, static_cast<unsigned>(entries[i].pid),
+                  static_cast<unsigned long long>(entries[i].vpn));
+    }
+    for (std::uint64_t set = 0; set < nSets; ++set) {
+        unsigned valid = 0;
+        for (unsigned w = 0; w < nWays; ++w)
+            valid += entries[set * nWays + w].valid ? 1 : 0;
+        ctx.check(valid == setValid[set], "tlb.index",
+                  "set %llu has %u valid ways but counts %u",
+                  static_cast<unsigned long long>(set), valid,
+                  setValid[set]);
     }
 }
 

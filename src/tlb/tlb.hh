@@ -11,6 +11,15 @@
  *
  * Set-associative geometries are supported for the §6.3 future-work
  * configuration (1 K entries, 2-way).
+ *
+ * Host representation: the modelled ways live in a set-major slot
+ * array, which fixes slot numbers, visit order and victim choice.
+ * Next to it an open-addressed hash index (linear probing, about four
+ * index positions per entry, backward-shift deletion) maps a valid
+ * (pid, vpn) to its slot, so a lookup costs a probe or two instead of
+ * a scan over every way.  The index is pure host bookkeeping: it
+ * answers exactly what the way scan would (a (pid, vpn) is never
+ * mapped twice), and replacement draws are unchanged.
  */
 
 #ifndef RAMPAGE_TLB_TLB_HH
@@ -179,21 +188,50 @@ class Tlb
   private:
     struct Entry
     {
-        Pid pid = 0;
         std::uint64_t vpn = 0;
         std::uint64_t frame = 0;
         std::uint64_t stamp = 0;
+        Pid pid = 0;
         bool valid = false;
     };
 
     std::uint64_t setOf(Pid pid, std::uint64_t vpn) const;
-    Entry *find(Pid pid, std::uint64_t vpn);
-    const Entry *find(Pid pid, std::uint64_t vpn) const;
+
+    /** First index position probed for (pid, vpn). */
+    std::uint64_t
+    indexHome(Pid pid, std::uint64_t vpn) const
+    {
+        std::uint64_t key = vpn ^ (static_cast<std::uint64_t>(pid) << 48);
+        return (key * 0x9e3779b97f4a7c15ull) >> indexShift;
+    }
+
+    /**
+     * Index position holding the slot of (pid, vpn), or — when absent
+     * — the empty position that ends its probe chain.
+     */
+    std::uint64_t
+    indexPos(Pid pid, std::uint64_t vpn) const
+    {
+        for (std::uint64_t pos = indexHome(pid, vpn);;
+             pos = (pos + 1) & indexMask) {
+            std::uint32_t slot = index[pos];
+            if (slot == noSlot ||
+                (entries[slot].vpn == vpn && entries[slot].pid == pid))
+                return pos;
+        }
+    }
+
+    /** Drop the index position `pos`, closing its probe-chain gap. */
+    void unindex(std::uint64_t pos);
 
     TlbParams prm;
     unsigned nWays;
     std::uint64_t nSets;
     std::vector<Entry> entries; ///< set-major
+    std::vector<unsigned> setValid; ///< valid ways per set
+    std::vector<std::uint32_t> index; ///< (pid, vpn) -> slot, noSlot empty
+    std::uint64_t indexMask = 0;
+    unsigned indexShift = 0; ///< 64 - log2(index size)
     std::uint64_t useCounter = 0;
     std::uint64_t gen = 0; ///< see generation()
     Rng rng;

@@ -92,6 +92,18 @@ TEST(ConfigValidation, PagerReserveCannotSwallowSram)
     expectConfigError([&] { PageStore pager(params); }, "reserve");
 }
 
+TEST(ConfigValidation, PagerFrameCountFitsThirtyTwoBits)
+{
+    // 2^32 frames of 128 B (512 GiB, plus the reclaimed tag bytes)
+    // overflow the page table's 32-bit frame links; the bound is
+    // checked before any per-frame state is allocated.
+    PageStoreParams params;
+    params.pageBytes = 128;
+    params.baseSramBytes = (std::uint64_t{1} << 32) * 128;
+    expectConfigError([&] { PageStore pager(params); },
+                      "SRAM frame count");
+}
+
 TEST(ConfigValidation, RampagePageAtLeastL1Block)
 {
     RampageConfig cfg = rampageConfig(1'000'000'000ull, 1024);
