@@ -1204,15 +1204,21 @@ SweepRunner::run()
                                .count();
             if (since >= opts.heartbeatSeconds) {
                 last_heartbeat = now_tp;
+                std::size_t done = simulated_done;
+                // Emit with the lock released: every pass of this
+                // loop either reports a point or lets the workers in,
+                // even when the period is shorter than one pass.
+                lock.unlock();
                 inform("sweep: heartbeat %zu/%zu points simulated "
                        "this run (%zu skipped), %.1f s elapsed",
-                       simulated_done, pending.size(), skipped,
+                       done, pending.size(), skipped,
                        std::chrono::duration<double>(
                            now_tp - campaign_started)
                            .count());
                 std::string phases = phaseGlobalSummary();
                 if (!phases.empty())
                     inform("sweep: host phases: %s", phases.c_str());
+                lock.lock();
                 continue;
             }
             point_done.wait_for(lock,

@@ -96,8 +96,9 @@ struct ProgramProfile
 };
 
 /**
- * Endless reference stream generated from a ProgramProfile.  `final`
- * so the fill() override's inner next() calls bind statically.
+ * Endless reference stream generated from a ProgramProfile.  fill() is
+ * the generator; next() is fill(&ref, 1), so the stream is the same for
+ * every chunk size.
  */
 class SyntheticProgram final : public TraceSource
 {
@@ -127,14 +128,34 @@ class SyntheticProgram final : public TraceSource
     static constexpr Addr stackTop = 0x7fff'f000;
 
   private:
+    /**
+     * The mutable generator state: everything a reference's draws
+     * read and write.  fill() works on a local copy and writes it back
+     * at the end, so the state lives in registers: through a member,
+     * every MemRef::vaddr store could alias its uint64_t words and
+     * force the Rng state back through memory per reference.
+     */
+    struct Cursor
+    {
+        Rng rng;
+        Addr pc = codeBase;
+        Addr hotCodeBase = codeBase; ///< current loop-nest origin
+        Addr hotHeapBase = heapBase; ///< current hot heap window origin
+        Addr streamPtr = heapBase;   ///< current streaming cursor
+        Addr coldPtr = heapBase;     ///< cold pointer-chase cursor
+        Addr hotPtr = 0;             ///< hot-window burst cursor
+        Addr globalPtr = 0;          ///< global-region burst cursor
+        std::uint64_t instrSincePhase = 0;
+    };
+
     /** Draw the next instruction-fetch address. */
-    Addr nextFetch();
+    Addr nextFetch(Cursor &c) const;
 
     /** Draw a data address per the region mix. */
-    Addr nextData();
+    Addr nextData(Cursor &c) const;
 
-    /** Re-seat the hot heap window (phase change). */
-    void changePhase();
+    /** Re-seat the hot heap window and loop nest (phase change). */
+    void changePhase(Cursor &c) const;
 
     /** Loop-nest size: fraction of the text, capped. */
     std::uint64_t hotCodeBytes() const;
@@ -144,36 +165,37 @@ class SyntheticProgram final : public TraceSource
 
     /**
      * Advance a bursty cursor within [base, base+span): a local
-     * meander with probability (1 - jump_prob), a uniform jump
-     * otherwise.
+     * meander unless `jump` fires, a uniform jump otherwise.
      */
-    Addr burstWalk(Addr &ptr, Addr base, std::uint64_t span,
-                   double jump_prob);
+    static Addr burstWalk(Rng &rng, Addr &ptr, Addr base,
+                          std::uint64_t span, Rng::Threshold jump);
 
     ProgramProfile prof;
     Pid streamPid;
-    Rng rng;
-
-    Addr pc = codeBase;
-    Addr hotCodeBase = codeBase;  ///< current loop-nest origin
-    Addr hotHeapBase = 0;         ///< current hot heap window origin
+    Cursor cur;
     std::uint64_t hotHeapBytes = 0;
-    Addr streamPtr = 0;           ///< current streaming cursor
-    Addr coldPtr = 0;             ///< cold pointer-chase cursor
-    Addr hotPtr = 0;              ///< hot-window burst cursor
-    Addr globalPtr = 0;           ///< global-region burst cursor
-    std::uint64_t instrSincePhase = 0;
     std::uint64_t refCount = 0;
 
-    // Per-profile constants the generators previously recomputed per
-    // reference (floating-point multiplies visible in trace_gen
-    // profiles); cacheProfileConstants() derives them once.  The
-    // cached values feed the exact expressions they replace, so the
-    // generated stream is bit-identical.
+    // Per-profile constants cacheProfileConstants() derives once, so
+    // the per-reference path does no floating point beyond the global
+    // region cut.  Each feeds a draw bit-identical to the expression
+    // it replaces: the probabilities become Rng::Threshold limits
+    // (exact; see Rng::unitLimit), one per profile probability of the
+    // same name, and the spans are the same integer results.
     std::uint64_t hotCodeCached = 0;  ///< hotCodeBytes() memoised
     std::uint64_t globalHotBytes = 0; ///< bursty hot slice of globals
     std::uint64_t stackSkewHot = 0;   ///< skewedBelow span (stack)
     std::uint64_t globalSkewHot = 0;  ///< skewedBelow span (globals)
+    std::uint64_t stackLimit = 0;     ///< unit() < stackFraction
+    Rng::Threshold branchTaken{0.0};
+    Rng::Threshold hotCode{0.0};
+    Rng::Threshold dataRef{0.0};
+    Rng::Threshold store{0.0};
+    Rng::Threshold stream{0.0};
+    Rng::Threshold hotData{0.0};
+    Rng::Threshold hotJump{0.0};
+    Rng::Threshold coldJump{0.0};
+    Rng::Threshold globalJump{0.0};
 
     bool dataPending = false;
     MemRef pendingRef{};

@@ -66,12 +66,15 @@ class Rng
             (static_cast<unsigned __int128>(next()) * bound) >> 64);
     }
 
+    /** @return the 53-bit draw unit() scales: unit() == draw53() * 2^-53. */
+    std::uint64_t draw53() { return next() >> 11; }
+
     /** @return a uniform double in [0, 1). */
     double
     unit()
     {
         // 53 high bits give a uniform double in [0, 1).
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(draw53()) * 0x1.0p-53;
     }
 
     /** @return true with probability p (clamped to [0, 1]). */
@@ -83,6 +86,58 @@ class Rng
         if (p >= 1.0)
             return true;
         return unit() < p;
+    }
+
+    /**
+     * The integer L with `unit() < p` exactly when `draw53() < L`,
+     * for every double p (NaN included: L = 0, never true).
+     *
+     * For 0 < p < 1, p * 2^53 is exact (a power-of-two scaling) and
+     * so is x * 2^-53 for a 53-bit draw x, hence x * 2^-53 < p iff
+     * x < p * 2^53 iff x < ceil(p * 2^53).  The ceiling is taken by
+     * hand because std::ceil is not constexpr.
+     */
+    static constexpr std::uint64_t
+    unitLimit(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return std::uint64_t{1} << 53;
+        const double scaled = p * 0x1.0p53;
+        const auto whole = static_cast<std::uint64_t>(scaled);
+        return whole + (static_cast<double>(whole) < scaled ? 1 : 0);
+    }
+
+    /**
+     * A probability for chance() precomputed as an integer limit.
+     * chance(Threshold(p)) returns what chance(p) returns and consumes
+     * the same draws: none for p <= 0 or p >= 1, one otherwise (NaN
+     * draws and is never true).
+     */
+    struct Threshold
+    {
+        static constexpr std::uint64_t never = ~std::uint64_t{0};
+        static constexpr std::uint64_t always = never - 1;
+
+        /** draw53() < limit, or one of the no-draw sentinels. */
+        std::uint64_t limit;
+
+        constexpr explicit Threshold(double p)
+            : limit(p <= 0.0   ? never
+                    : p >= 1.0 ? always
+                               : unitLimit(p))
+        {
+        }
+    };
+
+    /** chance(p) for a precomputed Threshold(p): no floating point. */
+    bool
+    chance(Threshold t)
+    {
+        if (t.limit > (std::uint64_t{1} << 53))
+            return t.limit == Threshold::always;
+        return draw53() < t.limit;
     }
 
     /**
@@ -99,20 +154,19 @@ class Rng
             static_cast<double>(bound) * hot_fraction);
         if (hot == 0)
             hot = 1;
-        return skewedBelowCached(bound, hot, hot_probability);
+        return skewedBelowCached(bound, hot, Threshold(hot_probability));
     }
 
     /**
-     * skewedBelow() with the hot span precomputed by the caller —
-     * identical draw sequence (the short-circuit on hot >= bound skips
-     * the probability draw exactly as skewedBelow does).  The
-     * synthetic trace generators cache the span per profile so the
-     * per-reference floating-point hot computation disappears from
-     * the trace_gen hot loop.
+     * skewedBelow() with the hot span and probability precomputed by
+     * the caller — identical draw sequence (the short-circuit on
+     * hot >= bound skips the probability draw exactly as skewedBelow
+     * does).  The synthetic trace generators cache both per profile
+     * so no floating point is left in this draw.
      */
     std::uint64_t
     skewedBelowCached(std::uint64_t bound, std::uint64_t hot,
-                      double hot_probability)
+                      Threshold hot_probability)
     {
         RAMPAGE_ASSERT(bound != 0,
                        "skewedBelowCached requires a nonzero bound");

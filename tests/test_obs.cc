@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -326,9 +327,10 @@ TEST(PhaseProfiler, ScopedTimerRecordsSomething)
     phaseThreadReset();
     {
         ScopedPhaseTimer timer(SweepPhase::TraceGen);
-        volatile int sink = 0;
-        for (int i = 0; i < 100'000; ++i)
-            sink += i;
+        // Unsigned: the sum 0..99 999 overflows int.
+        volatile std::uint64_t sink = 0;
+        for (std::uint64_t i = 0; i < 100'000; ++i)
+            sink = sink + i;
         (void)sink;
     }
     PhaseSeconds totals = phaseThreadTotals();

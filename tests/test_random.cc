@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -114,6 +117,73 @@ TEST(Rng, SkewedBelowConcentratesInHotRegion)
             ++hot;
     // ~0.9 + 0.1*0.1 = 91 % of draws land in the hot tenth.
     EXPECT_GT(static_cast<double>(hot) / n, 0.85);
+}
+
+// ------------------------------------- integer-threshold chance()
+
+/** The probabilities where a threshold rewrite usually goes wrong. */
+std::vector<double>
+thresholdProbes()
+{
+    std::vector<double> ps = {
+        -0.5, 0.0, 0x1p-54, 0x1p-53, 0.3, std::nextafter(0.5, 0.0),
+        0.5, 1.0 - 0x1p-53, 1.0, 1.5,
+        std::numeric_limits<double>::quiet_NaN()};
+    // 10 k seeded random probabilities: uniform in [0, 1), uniform in
+    // [-0.5, 1.5), and raw bit patterns (tiny, huge, inf, NaN).
+    Rng gen(0x7e57);
+    for (int i = 0; i < 10'000; ++i) {
+        switch (i % 3) {
+          case 0:
+            ps.push_back(gen.unit());
+            break;
+          case 1:
+            ps.push_back(gen.unit() * 2.0 - 0.5);
+            break;
+          default:
+            ps.push_back(std::bit_cast<double>(gen.next()));
+            break;
+        }
+    }
+    return ps;
+}
+
+TEST(Rng, ThresholdChanceMatchesDoubleChance)
+{
+    Rng seeds(31);
+    for (double p : thresholdProbes()) {
+        const Rng::Threshold t(p);
+        for (int trial = 0; trial < 8; ++trial) {
+            Rng a(seeds.next());
+            Rng b = a;
+            ASSERT_EQ(a.chance(p), b.chance(t)) << p;
+            // Same draws consumed: the streams stay in lockstep.
+            ASSERT_EQ(a.next(), b.next()) << p;
+        }
+    }
+}
+
+TEST(Rng, UnitLimitSplitsDrawsExactly)
+{
+    // unit() < p must hold exactly for the 53-bit draws below
+    // unitLimit(p): check the draws on both sides of the limit, and
+    // the ends of the draw range.
+    const std::uint64_t top = std::uint64_t{1} << 53;
+    for (double p : thresholdProbes()) {
+        const std::uint64_t limit = Rng::unitLimit(p);
+        ASSERT_LE(limit, top) << p;
+        std::vector<std::uint64_t> xs = {0, top - 1};
+        for (std::uint64_t d = 0; d < 3; ++d) {
+            if (limit >= d + 1)
+                xs.push_back(limit - d - 1);
+            if (limit + d < top)
+                xs.push_back(limit + d);
+        }
+        for (std::uint64_t x : xs) {
+            const double unit = static_cast<double>(x) * 0x1.0p-53;
+            ASSERT_EQ(unit < p, x < limit) << p << " draw " << x;
+        }
+    }
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -326,6 +327,32 @@ TEST_F(SweepRunnerTest, HeartbeatOptionIsHarmless)
     runner.add("b", [] { return fakeResult(2); });
     SweepReport report = runner.run();
     EXPECT_EQ(report.okCount(), 2u);
+}
+
+TEST_F(SweepRunnerTest, HeartbeatShorterThanReporterPassLetsWorkersIn)
+{
+    // A 1 ns period is shorter than any pass of the reporter loop, so
+    // every pass that finds no point ready fires the heartbeat.  The
+    // points sleep so that the reporter is in that loop before the
+    // first one is ready; it must still let the workers publish.
+    SweepRunner::Options opts;
+    opts.heartbeatSeconds = 1e-9;
+    opts.jobs = 2;
+    SweepRunner runner(opts);
+    for (Tick i = 1; i <= 4; ++i) {
+        runner.add("p" + std::to_string(i), [i] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            return fakeResult(i);
+        });
+    }
+    auto done = std::async(std::launch::async, [&] { return runner.run(); });
+    if (done.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+        // The reporter holds the lock for good; nothing can unwind it.
+        std::fprintf(stderr, "SweepRunner::run livelocked\n");
+        std::abort();
+    }
+    EXPECT_EQ(done.get().okCount(), 4u);
 }
 
 /**

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "trace/benchmarks.hh"
@@ -191,6 +194,101 @@ TEST(Roster, SaltDecorrelatesWorkloads)
     }
     EXPECT_LT(same, 150);
 }
+
+// ------------------------------------------------ pinned stream hashes
+
+/** References hashed per roster program by StreamPin. */
+constexpr std::size_t pinRefs = 1'000'000;
+
+/**
+ * FNV-1a (64-bit) over each reference's vaddr (8 bytes), kind
+ * (1 byte) and pid (2 bytes), little-endian, field by field — so the
+ * hash is independent of MemRef's padding.
+ */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    bytes(std::uint64_t v, int n)
+    {
+        for (int i = 0; i < n; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    void
+    ref(const MemRef &r)
+    {
+        bytes(r.vaddr, 8);
+        bytes(static_cast<std::uint64_t>(r.kind), 1);
+        bytes(r.pid, 2);
+    }
+};
+
+/**
+ * Stream hashes of the first pinRefs references of every roster
+ * program, in roster order, for makeWorkload() salts 0 and 97.  They
+ * were captured from the generator before its draws were rewritten
+ * as integer thresholds; any change to a single generated reference
+ * changes them.  Regenerate only for a deliberate change to the
+ * modelled workload.
+ */
+const std::uint64_t pinnedSalt0[18] = {
+    0xcef7e6763a1c16ffull, 0x8c1e842ddc5ba7b1ull, 0xdce98fe7fda32b8dull,
+    0x4d62583f63bfd471ull, 0x50d87d470492248bull, 0x25a1ebfec611f4acull,
+    0x2da78f8358db8109ull, 0xf6575152eaf5440full, 0xb8fe2cd07761ab78ull,
+    0x7e688d11d1aa14f9ull, 0x1d5fb9fe5b82ac69ull, 0x08228d5b20fa7f70ull,
+    0xda7bf2f2e6a6bc0bull, 0x944d2e1a32a8fd45ull, 0x27a3b5feb200e577ull,
+    0x1e806d9609e331b3ull, 0x451a2a627ea05ec9ull, 0xcf21aa6ef0af81a4ull,
+};
+const std::uint64_t pinnedSalt97[18] = {
+    0x96cc9adb37f076dcull, 0x9edd05b01abfae14ull, 0x6a2e844a294aa700ull,
+    0xdf7de4b497a29df0ull, 0xa7e1b696b0b3c36full, 0xb523aca99174a485ull,
+    0xafdc3ee4ebfaf60aull, 0x85f25cd32d0589e2ull, 0xac8eddb9643882c2ull,
+    0x29cc9dde7b911cf7ull, 0xefbd83792c99212full, 0x84fa50250e8a9722ull,
+    0xa13ee3c0fb0e0ea2ull, 0x2fc8a18a3bed0f80ull, 0x98526f1dc6f6f9c6ull,
+    0xa5318f5b766b3ea0ull, 0x19410be95787de0dull, 0x01106aaa32e36c39ull,
+};
+
+class StreamPin
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t,
+                                                 std::size_t>>
+{
+};
+
+TEST_P(StreamPin, MatchesCapturedHashes)
+{
+    const auto [salt, chunk] = GetParam();
+    const std::uint64_t *pinned = salt == 0 ? pinnedSalt0 : pinnedSalt97;
+    auto workload = makeWorkload(salt);
+    ASSERT_EQ(workload.size(), 18u);
+    std::vector<MemRef> buf(chunk);
+    for (std::size_t prog = 0; prog < workload.size(); ++prog) {
+        Fnv1a fnv;
+        for (std::size_t done = 0; done < pinRefs;) {
+            std::size_t want = std::min(chunk, pinRefs - done);
+            ASSERT_EQ(workload[prog]->fill(buf.data(), want), want);
+            for (std::size_t i = 0; i < want; ++i)
+                fnv.ref(buf[i]);
+            done += want;
+        }
+        char got[24];
+        std::snprintf(got, sizeof got, "0x%016llx",
+                      static_cast<unsigned long long>(fnv.h));
+        EXPECT_EQ(fnv.h, pinned[prog])
+            << workload[prog]->name() << " (salt " << salt
+            << ", chunk " << chunk << ") hashed " << got;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SaltsAndChunks, StreamPin,
+    ::testing::Combine(::testing::Values(std::uint64_t{0},
+                                         std::uint64_t{97}),
+                       ::testing::Values(std::size_t{1},
+                                         std::size_t{4096})));
 
 } // namespace
 } // namespace rampage
