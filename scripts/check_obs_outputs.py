@@ -7,7 +7,9 @@ Given a bench --json report produced with --trace-out and
   * the Chrome trace-event JSON: Perfetto-loadable shape
     (displayTimeUnit, traceEvents with ph/pid/tid/ts, metadata track
     names) and a drop ledger whose written-event count is exactly
-    emitted - dropped;
+    emitted - dropped; and a point whose snapshot counts context
+    switches (sim.context_switches > 0) must show them on the 'sched'
+    track unless its ring dropped events;
   * the interval JSONL: epochs numbered from 1, per-epoch refs summing
     to refs_total, monotone simulated time; and for every stat name
     shared with the report's final snapshot, either the epoch deltas
@@ -38,7 +40,7 @@ def fail(msg):
     print(f"check_obs_outputs: FAIL: {msg}", file=sys.stderr)
 
 
-def check_trace(path):
+def check_trace(path, final_stats):
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("displayTimeUnit") != "ns":
@@ -49,6 +51,7 @@ def check_trace(path):
         return
     tracks = set()
     written = 0
+    sched_events = 0
     last_ts = -math.inf
     for ev in events:
         ph = ev.get("ph")
@@ -57,6 +60,8 @@ def check_trace(path):
                 tracks.add(ev["args"]["name"])
             continue
         written += 1
+        if ev.get("cat") == "sched":
+            sched_events += 1
         if ph not in ("X", "i"):
             fail(f"{path}: unexpected phase {ph!r}")
         if ev.get("name") not in EVENT_NAMES:
@@ -66,8 +71,8 @@ def check_trace(path):
                 fail(f"{path}: event missing '{key}'")
         if ph == "X" and "dur" not in ev:
             fail(f"{path}: complete event missing 'dur'")
-        # The ring is written oldest-first, so simulated time is
-        # monotone within one trace file.
+        # Events are written in simulated-time order, so time is
+        # monotone within one trace file (multicore runs included).
         if ev.get("ts", 0) < last_ts:
             fail(f"{path}: timestamps go backwards at ts={ev['ts']}")
         last_ts = ev.get("ts", 0)
@@ -80,7 +85,10 @@ def check_trace(path):
     elif written != emitted - dropped:
         fail(f"{path}: {written} events written but ledger says "
              f"{emitted} emitted - {dropped} dropped")
-    return written
+    switches = (final_stats or {}).get("sim.context_switches", 0)
+    if switches > 0 and dropped == 0 and sched_events == 0:
+        fail(f"{path}: the run took {switches} context switches but "
+             f"its trace has no 'sched'-track events")
 
 
 def check_intervals(path, final_stats):
@@ -135,7 +143,7 @@ def main():
     traces = intervals = 0
     for result in results:
         if "trace_file" in result:
-            check_trace(result["trace_file"])
+            check_trace(result["trace_file"], result.get("stats"))
             traces += 1
         if "interval_file" in result:
             check_intervals(result["interval_file"],

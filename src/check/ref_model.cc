@@ -1010,7 +1010,11 @@ pullRef(std::vector<std::unique_ptr<TraceSource>> &sources,
     return ref;
 }
 
-/** Replay of Simulator::runBlocking()'s scheduling skeleton. */
+/**
+ * Replay of the blocking schedule Simulator::run() drives at one
+ * core: round-robin time slices of quantumRefs references, with the
+ * context-switch trace at every slice start.
+ */
 template <typename PerRef>
 void
 replayBlocking(const FuzzPoint &point, const PerRef &per_ref,

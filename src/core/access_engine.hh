@@ -6,14 +6,51 @@
  * The sequencing — TLB lookup (behind a per-stream last-translation
  * cache), translation walk with its interleaved handler trace, fault
  * resolution, then the L1 + lower-level walk — is identical for every
- * hierarchy; only the policy hooks (translationBits, walkTranslation,
- * resolveFault, framePhysAddr, fillFromBelow, writebackBelow,
- * osPhysAddr, l1WritebackCost) differ.  Instantiated with
- * H = Hierarchy the hooks dispatch virtually (the generic reference
- * path, kept alive as Hierarchy::accessGeneric() and proven
- * bit-identical by tests/test_dispatch_equivalence.cc); instantiated
- * with a concrete `final` hierarchy the compiler binds every hook
- * statically, which is what makes the simulator's inner loop cheap.
+ * hierarchy; only the policy hooks below differ.  Each concrete
+ * hierarchy is `final` and instantiates the engine on itself (H = the
+ * concrete class), so the compiler binds every hook statically —
+ * which is what makes the simulator's inner loop cheap.  The hooks
+ * are therefore plain (non-virtual) members of the concrete classes;
+ * only l1WritebackCost() stays virtual, because base-class code
+ * (Hierarchy::invalidateL1RangeFor) calls it too.
+ *
+ * The hook contract, per concrete hierarchy H:
+ *
+ *  - `unsigned translationBits(Pid pid) const`: log2 of the
+ *    translation page size for a pid.
+ *  - `Hierarchy::TranslationWalk walkTranslation(Pid, vpn, probes)`:
+ *    walk the translation structure on a TLB miss, recording the
+ *    table words touched into `probes` (they parameterize the
+ *    interleaved TLB-miss handler trace).  Runs *before* the handler
+ *    trace; a walk that cannot resolve residency up front leaves
+ *    `resolved` false and the frame comes from resolveFault() after
+ *    the trace.
+ *  - `std::uint64_t resolveFault(Pid, vpn, AccessOutcome &outcome)`:
+ *    produce the frame for an unresolved translation, *after* the
+ *    TLB-miss handler trace ran: the conventional directory allocates
+ *    the DRAM frame; RAMpage services the SRAM page fault (setting
+ *    `outcome`'s pageFault/deferPs).
+ *  - `void noteFrameResidency(std::uint64_t frame)`: called right
+ *    after a translation is installed in the active core's TLB.
+ *    RAMpage sets the requesting core's bit in the frame's residency
+ *    mask so page replacement knows which private copies (TLB
+ *    entries, L1 lines) an ownership change must invalidate; the
+ *    conventional hierarchy ignores it.
+ *  - `Addr framePhysAddr(Pid, frame, offset)`: physical address of
+ *    `offset` within a translated frame, with any per-reference side
+ *    effects (RAMpage touches the frame's replacement state).
+ *  - `Addr osPhysAddr(Addr vaddr) const`: physical address of an
+ *    operating-system virtual address.  OS references bypass the TLB
+ *    (MIPS kseg0 semantics): under RAMpage they map directly into the
+ *    pinned SRAM reserve, conventionally into a fixed DRAM image.
+ *  - `Cycles fillFromBelow(Addr paddr, bool is_write)`: lower-level
+ *    access on an L1 miss — look up the L2 cache or SRAM main memory
+ *    at `paddr` and fill.  Returns cycles; DRAM time accrues via
+ *    addDramPs().
+ *  - `Cycles writebackBelow(Addr victim_addr)`: a dirty L1 victim's
+ *    write-back to the level below.
+ *  - `Cycles l1WritebackCost() const` (virtual): the L1 write-back
+ *    cycles (12 conventional, 9 RAMpage).
  *
  * The translation cache in front of the TLB (one entry per
  * instruction/data stream) is exactly state- and stat-neutral: it
@@ -174,7 +211,12 @@ struct AccessEngine
         return batch;
     }
 
-    /** The L1 + lower-level walk (Hierarchy::cachedAccess contract). */
+    /**
+     * The L1 + lower-level walk for a reference whose physical
+     * address is known: charges issue time for fetches, probes L1,
+     * and on a miss calls fillFromBelow() for the lower level.
+     * @return cycles consumed (cycle-denominated only).
+     */
     template <class H>
     static Cycles
     cachedAccess(H &h, const MemRef &ref, Addr paddr)
@@ -218,7 +260,12 @@ struct AccessEngine
                before;
     }
 
-    /** Handler-trace interleave (Hierarchy::runHandlerRefs contract). */
+    /**
+     * Run a handler reference stream through the hierarchy.  Handler
+     * references never recurse into further handler work (OS pages
+     * bypass the TLB and are always resident).
+     * @return CPU time consumed.
+     */
     template <class H>
     static Tick
     runHandlerRefs(H &h, const std::vector<MemRef> &refs,

@@ -20,8 +20,8 @@ namespace rampage
 {
 
 /**
- * The conventional (cache-based) hierarchy.  `final` so the
- * AccessEngine instantiations below bind every policy hook
+ * The conventional (cache-based) hierarchy.  `final`, with the
+ * AccessEngine instantiated on it, so every policy hook binds
  * statically.
  */
 class ConventionalHierarchy final : public Hierarchy
@@ -53,15 +53,17 @@ class ConventionalHierarchy final : public Hierarchy
   protected:
     friend class FaultInjector;
     friend struct AccessEngine;
-    Cycles fillFromBelow(Addr paddr, bool is_write) override;
-    Cycles writebackBelow(Addr victim_addr) override;
     Cycles l1WritebackCost() const override;
+
+    // --- AccessEngine policy hooks (contract: access_engine.hh) ----
+    Cycles fillFromBelow(Addr paddr, bool is_write);
+    Cycles writebackBelow(Addr victim_addr);
 
     // The address-formation hooks run on every reference; they are
     // inline so the statically-bound AccessEngine instantiation
     // flattens them into the hot loop.
     Addr
-    osPhysAddr(Addr vaddr) const override
+    osPhysAddr(Addr vaddr) const
     {
         // Page-table probe addresses are already physical (the
         // table's DRAM image lives above 1 << 40); handler code/data
@@ -72,22 +74,24 @@ class ConventionalHierarchy final : public Hierarchy
     }
 
     unsigned
-    translationBits(Pid /*pid*/) const override
+    translationBits(Pid /*pid*/) const
     {
         return dramPageBits;
     }
 
     Addr
-    framePhysAddr(Pid /*pid*/, std::uint64_t frame,
-                  Addr offset) override
+    framePhysAddr(Pid /*pid*/, std::uint64_t frame, Addr offset)
     {
         return (frame << dramPageBits) | offset;
     }
 
     TranslationWalk walkTranslation(Pid pid, std::uint64_t vpn,
-                                    std::vector<Addr> &probes) override;
+                                    std::vector<Addr> &probes);
     std::uint64_t resolveFault(Pid pid, std::uint64_t vpn,
-                               AccessOutcome &outcome) override;
+                               AccessOutcome &outcome);
+
+    /** One shared DRAM frame space: no per-core residency to track. */
+    void noteFrameResidency(std::uint64_t /*frame*/) {}
 
   private:
     /** Physical base of the OS handler code/data image in DRAM. */

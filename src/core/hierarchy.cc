@@ -1,6 +1,5 @@
 #include "core/hierarchy.hh"
 
-#include "core/access_engine.hh"
 #include "obs/trace_session.hh"
 #include "util/audit.hh"
 #include "util/bitops.hh"
@@ -74,40 +73,6 @@ Hierarchy::totalPs(std::uint64_t issue_hz) const
     return breakdown(issue_hz).total();
 }
 
-// The access-sequence bodies live in src/core/access_engine.hh as
-// templates over the hierarchy type.  These instantiations with
-// H = Hierarchy are the generic, dynamically-dispatched path: every
-// policy hook goes through the vtable.  The concrete subclasses
-// override access()/accessBatch()/runContextSwitchTrace() with
-// statically-bound instantiations (H = themselves, marked `final`);
-// tests/test_dispatch_equivalence.cc proves the two bit-identical.
-
-AccessOutcome
-Hierarchy::access(const MemRef &ref)
-{
-    return AccessEngine::access(*this, ref);
-}
-
-BatchOutcome
-Hierarchy::accessBatch(const MemRef *refs, std::size_t n,
-                       bool stop_on_deferred_fault)
-{
-    return AccessEngine::accessBatch(*this, refs, n,
-                                     stop_on_deferred_fault);
-}
-
-AccessOutcome
-Hierarchy::accessGeneric(const MemRef &ref)
-{
-    return AccessEngine::access(*this, ref);
-}
-
-Cycles
-Hierarchy::cachedAccess(const MemRef &ref, Addr paddr)
-{
-    return AccessEngine::cachedAccess(*this, ref, paddr);
-}
-
 bool
 Hierarchy::invalidateL1Range(Addr base, std::uint64_t bytes,
                              Cycles &cycles_out)
@@ -155,13 +120,6 @@ Hierarchy::invalidateL1RangeFor(CoreFrontend &core, Addr base,
     evt.l2Cycles += cycles;
     cycles_out = cycles;
     return flushed_dirty;
-}
-
-Tick
-Hierarchy::runHandlerRefs(const std::vector<MemRef> &refs,
-                          OverheadKind kind)
-{
-    return AccessEngine::runHandlerRefs(*this, refs, kind);
 }
 
 Tick
@@ -275,12 +233,6 @@ Hierarchy::auditState(AuditContext &ctx) const
                   backend.dramTxHist.samples()),
               static_cast<unsigned long long>(evt.dramReads),
               static_cast<unsigned long long>(evt.dramWrites));
-}
-
-Tick
-Hierarchy::runContextSwitchTrace()
-{
-    return AccessEngine::runContextSwitchTrace(*this);
 }
 
 } // namespace rampage

@@ -87,12 +87,11 @@ class Hierarchy
      * last-translation cache), on a miss the translation walk with
      * its interleaved handler trace, fault resolution, then the L1 +
      * lower-level walk — so it lives once in AccessEngine
-     * (src/core/access_engine.hh); subclasses supply the policy hooks
-     * (translationBits, walkTranslation, resolveFault, framePhysAddr)
-     * and override this with a statically-bound instantiation so the
-     * hooks devirtualize on the hot path.
+     * (src/core/access_engine.hh); each `final` subclass implements
+     * this with the engine instantiated on itself, so its policy
+     * hooks bind statically on the hot path.
      */
-    virtual AccessOutcome access(const MemRef &ref);
+    virtual AccessOutcome access(const MemRef &ref) = 0;
 
     /**
      * Process a contiguous batch of references, summing the per-ref
@@ -100,25 +99,17 @@ class Hierarchy
      * (and includes) the first reference whose fault produced
      * deferrable transfer time, so a switch-on-miss scheduler can
      * react before the next reference runs.  Exactly equivalent to
-     * calling access() `consumed` times (proven by
-     * tests/test_dispatch_equivalence.cc).
+     * calling access() `consumed` times.
      */
     virtual BatchOutcome accessBatch(const MemRef *refs, std::size_t n,
-                                     bool stop_on_deferred_fault);
-
-    /**
-     * access() through the dynamically-dispatched generic engine,
-     * whatever the concrete type — the reference path the
-     * devirtualized overrides are tested against.
-     */
-    AccessOutcome accessGeneric(const MemRef &ref);
+                                     bool stop_on_deferred_fault) = 0;
 
     /**
      * Interleave the ~400-reference context-switch trace (§4.6) and
      * drop the last-translation cache (the running process changes).
      * @return CPU time consumed.
      */
-    virtual Tick runContextSwitchTrace();
+    virtual Tick runContextSwitchTrace() = 0;
 
     /**
      * Disable (or re-enable) the per-stream last-translation cache
@@ -224,79 +215,14 @@ class Hierarchy
     };
 
     /**
-     * Run a handler reference stream through the hierarchy.
-     * Handler references never recurse into further handler work
-     * (OS pages bypass the TLB and are always resident).
-     * @return CPU time consumed.
+     * Outcome of a translation walk on a TLB miss (the
+     * walkTranslation policy hook, see access_engine.hh).
      */
-    Tick runHandlerRefs(const std::vector<MemRef> &refs,
-                        OverheadKind kind);
-
-    /**
-     * The L1 + lower-level walk for a reference whose physical
-     * address is known.  Charges issue time for fetches, probes L1,
-     * and on a miss calls fillFromBelow() for the lower level.
-     * @return cycles consumed (cycle-denominated only).
-     */
-    Cycles cachedAccess(const MemRef &ref, Addr paddr);
-
-    /**
-     * Lower-level access on an L1 miss: look up the L2 cache or SRAM
-     * main memory at `paddr` and fill.  `writeback_addr` is the
-     * block-aligned L1 victim needing write-back below (or noAddr).
-     * @return cycles consumed (DRAM time accrues via addDramPs).
-     */
-    virtual Cycles fillFromBelow(Addr paddr, bool is_write) = 0;
-
-    /** Handle a dirty L1 victim's write-back to the level below. */
-    virtual Cycles writebackBelow(Addr victim_addr) = 0;
-
-    /**
-     * Translate an operating-system virtual address to its physical
-     * address.  OS references bypass the TLB (MIPS kseg0 semantics):
-     * under RAMpage they map directly into the pinned SRAM reserve,
-     * conventionally into a fixed DRAM image.
-     */
-    virtual Addr osPhysAddr(Addr vaddr) const = 0;
-
-    // --- access() policy hooks --------------------------------------
-    /** Outcome of a translation walk on a TLB miss. */
     struct TranslationWalk
     {
         bool resolved = false; ///< the page is resident; frame is set
         std::uint64_t frame = 0;
     };
-
-    /** log2 of the translation page size for a pid. */
-    virtual unsigned translationBits(Pid pid) const = 0;
-
-    /**
-     * Walk the translation structure on a TLB miss, recording the
-     * table words touched into `probes` (they parameterize the
-     * interleaved TLB-miss handler trace).  Runs *before* the handler
-     * trace; a walk that cannot resolve residency up front leaves
-     * `resolved` false and the frame comes from resolveFault() after
-     * the trace.
-     */
-    virtual TranslationWalk walkTranslation(Pid pid, std::uint64_t vpn,
-                                            std::vector<Addr> &probes) = 0;
-
-    /**
-     * Produce the frame for an unresolved translation, *after* the
-     * TLB-miss handler trace ran: the conventional directory allocates
-     * the DRAM frame; RAMpage services the SRAM page fault (setting
-     * `outcome`'s pageFault/deferPs).
-     */
-    virtual std::uint64_t resolveFault(Pid pid, std::uint64_t vpn,
-                                       AccessOutcome &outcome) = 0;
-
-    /**
-     * Physical address of `offset` within a translated frame, with
-     * any per-reference side effects (RAMpage touches the frame's
-     * replacement state).
-     */
-    virtual Addr framePhysAddr(Pid pid, std::uint64_t frame,
-                               Addr offset) = 0;
 
     /**
      * Invalidate every L1 block within [base, base+bytes), charging
@@ -344,19 +270,6 @@ class Hierarchy
      */
     bool invalidateL1RangeFor(CoreFrontend &core, Addr base,
                               std::uint64_t bytes, Cycles &cycles_out);
-
-    /**
-     * Residency hook, called by the access engine right after a
-     * translation is installed in the active core's TLB.  The base
-     * class ignores it; RAMpage sets the requesting core's bit in the
-     * frame's residency mask so page replacement knows which private
-     * copies (TLB entries, L1 lines) an ownership change must
-     * invalidate.
-     */
-    virtual void noteFrameResidency(std::uint64_t frame)
-    {
-        (void)frame;
-    }
 
     CommonConfig cfg;
     Tick cycPs;          ///< cycle time at the configured issue rate

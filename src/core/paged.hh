@@ -32,8 +32,8 @@ namespace rampage
 
 /**
  * The RAMpage hierarchy (uniform or per-pid SRAM page sizes).
- * `final` so the AccessEngine instantiations below bind every policy
- * hook statically.
+ * `final`, with the AccessEngine instantiated on it, so every policy
+ * hook binds statically.
  */
 class PagedHierarchy final : public Hierarchy
 {
@@ -65,37 +65,38 @@ class PagedHierarchy final : public Hierarchy
   protected:
     friend class FaultInjector;
     friend struct AccessEngine;
-    Cycles fillFromBelow(Addr paddr, bool is_write) override;
-    Cycles writebackBelow(Addr victim_addr) override;
     Cycles l1WritebackCost() const override;
+
+    // --- AccessEngine policy hooks (contract: access_engine.hh) ----
+    Cycles fillFromBelow(Addr paddr, bool is_write);
+    Cycles writebackBelow(Addr victim_addr);
 
     // The address-formation hooks run on every reference; they are
     // inline so the statically-bound AccessEngine instantiation
     // flattens them into the hot loop.
     Addr
-    osPhysAddr(Addr vaddr) const override
+    osPhysAddr(Addr vaddr) const
     {
         return store.osPhysAddr(vaddr);
     }
 
     unsigned
-    translationBits(Pid pid) const override
+    translationBits(Pid pid) const
     {
         return floorLog2(store.pageBytes(pid));
     }
 
     Addr
-    framePhysAddr(Pid /*pid*/, std::uint64_t frame,
-                  Addr offset) override
+    framePhysAddr(Pid /*pid*/, std::uint64_t frame, Addr offset)
     {
         store.touch(frame);
         return store.physAddr(frame, offset);
     }
 
     TranslationWalk walkTranslation(Pid pid, std::uint64_t vpn,
-                                    std::vector<Addr> &probes) override;
+                                    std::vector<Addr> &probes);
     std::uint64_t resolveFault(Pid pid, std::uint64_t vpn,
-                               AccessOutcome &outcome) override;
+                               AccessOutcome &outcome);
 
     /**
      * Coherence-lite: a translation install makes the active core a
@@ -104,7 +105,7 @@ class PagedHierarchy final : public Hierarchy
      * replacement invalidates exactly the right cores' copies.
      */
     void
-    noteFrameResidency(std::uint64_t frame) override
+    noteFrameResidency(std::uint64_t frame)
     {
         backend.noteResidency(frame, fe().port.core);
     }

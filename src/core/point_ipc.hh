@@ -51,8 +51,9 @@ PointOutcome decodePointOutcome(const std::string &bytes);
 /**
  * Rebuild the typed exception a Failed/AuditFailed/TimedOut outcome
  * carried before crossing the fork boundary, so embedders that
- * rethrow (runBlockingSweep) observe the same what() text and catch
- * the same type as they would in-process.  Null for Ok/Skipped.
+ * rethrow (the benches' sweep helper) observe the same what() text
+ * and catch the same type as they would in-process.  Null for
+ * Ok/Skipped.
  */
 std::exception_ptr rebuildPointException(const PointOutcome &outcome);
 

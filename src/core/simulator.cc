@@ -18,11 +18,10 @@ namespace
 {
 
 /**
- * References per batch in the fast inner loops: large enough to
- * amortize the per-batch virtual calls (one fill, one accessBatch)
- * and loop bookkeeping, small enough that the buffer stays cache-
- * resident and the watchdog/deadline polls keep reference-scale
- * granularity.
+ * References per chunk of the run loop: large enough to amortize the
+ * per-chunk virtual calls (one fill, one accessBatch) and loop
+ * bookkeeping, small enough that the buffer stays cache-resident and
+ * the watchdog/deadline polls keep reference-scale granularity.
  */
 constexpr std::uint64_t batchRefs = 4096;
 
@@ -137,19 +136,6 @@ Simulator::Simulator(Hierarchy &hierarchy,
                  "defaultSimConfig()/armedSimConfig() arm it");
 }
 
-MemRef
-Simulator::pull(std::size_t index)
-{
-    MemRef ref;
-    if (!sources[index]->next(ref)) {
-        sources[index]->reset();
-        if (!sources[index]->next(ref))
-            throw InternalError("trace source '%s' empty after reset",
-                                sources[index]->name().c_str());
-    }
-    return ref;
-}
-
 void
 Simulator::fillRefs(std::size_t index, MemRef *buf, std::size_t n)
 {
@@ -158,8 +144,7 @@ Simulator::fillRefs(std::size_t index, MemRef *buf, std::size_t n)
     while (got < n) {
         got += sources[index]->fill(buf + got, n - got);
         if (got < n) {
-            // End-of-stream mid-buffer: rewind and replay, exactly as
-            // pull() does per reference.
+            // End-of-stream mid-buffer: rewind and replay.
             sources[index]->reset();
             if (!sources[index]->next(buf[got]))
                 throw InternalError(
@@ -179,18 +164,10 @@ Simulator::fastLoopEligible(const Auditor &auditor) const
     // Timeline tracing and interval stats need per-reference
     // setNow()/maybeSample() calls; paranoid audits fire on every
     // L2/SRAM miss.  All other machinery — boundary audits, fault
-    // injection, the watchdog and deadline polls — operates at batch
+    // injection, the watchdog and deadline polls — operates at chunk
     // or boundary granularity and is preserved exactly.
     return cfg.traceOutBase.empty() && cfg.statsIntervalRefs == 0 &&
-           !auditor.paranoid() && !cfg.genericDispatch;
-}
-
-SimResult
-Simulator::run()
-{
-    if (hier.coreCount() > 1 || cfg.forceMulticoreDriver)
-        return runMulticore();
-    return cfg.switchOnMiss ? runSwitchOnMiss() : runBlocking();
+           !auditor.paranoid();
 }
 
 void
@@ -212,124 +189,7 @@ Simulator::checkWatchdog() const
 }
 
 SimResult
-Simulator::runBlocking()
-{
-    Auditor auditor(cfg.auditLevel);
-    FaultInjector injector(parseFaultPlan(cfg.faultPlan));
-    ObsScope obs(cfg, hier.statsRegistry());
-    Tick now = 0;
-    std::size_t current = 0;
-    std::uint64_t in_slice = 0;
-    std::uint64_t audited_misses = hier.counts().l2Misses;
-
-    if (fastLoopEligible(auditor)) {
-        // Batched inner loop: contiguous reference buffers through
-        // the statically-dispatched accessBatch(), with slice
-        // bookkeeping hoisted to batch boundaries.  Batches never
-        // cross a quantum boundary, so the switch trace, boundary
-        // audit and fault injection land exactly where the
-        // per-reference loop puts them.
-        std::vector<MemRef> buf(batchRefs);
-        std::uint64_t executed = 0;
-        while (executed < cfg.maxRefs) {
-            checkWatchdog();
-            if (in_slice == 0 && cfg.insertSwitchTrace)
-                now += hier.runContextSwitchTrace();
-
-            std::uint64_t n = std::min(
-                {cfg.maxRefs - executed, cfg.quantumRefs - in_slice,
-                 batchRefs});
-            fillRefs(current, buf.data(),
-                     static_cast<std::size_t>(n));
-            BatchOutcome out = hier.accessBatch(
-                buf.data(), static_cast<std::size_t>(n), false);
-            now += out.cpuPs + out.deferPs;
-            executed += n;
-            in_slice += n;
-
-            if (in_slice >= cfg.quantumRefs) {
-                in_slice = 0;
-                current = (current + 1) % sources.size();
-                // Audit the boundary first, then corrupt: the
-                // planned fault lands on provably clean state, so
-                // the violation the next audit raises is the
-                // injector's.
-                auditor.auditBlocking(hier, now, "quantum boundary");
-                if (injector.pending())
-                    injector.apply(hier);
-            }
-        }
-    } else {
-        for (std::uint64_t executed = 0; executed < cfg.maxRefs;
-             ++executed) {
-            checkWatchdog();
-            obs.setNow(now);
-            if (in_slice == 0 && cfg.insertSwitchTrace) {
-                Tick switch_ps = hier.runContextSwitchTrace();
-                RAMPAGE_TRACE_EVENT(ContextSwitch, switch_ps, in_slice,
-                                    osPid);
-                now += switch_ps;
-                obs.setNow(now);
-            }
-
-            MemRef ref = pull(current);
-            AccessOutcome out = cfg.genericDispatch
-                                    ? hier.accessGeneric(ref)
-                                    : hier.access(ref);
-            now += out.cpuPs + out.deferPs;
-            obs.maybeSample(executed + 1, now);
-
-            if (auditor.paranoid() &&
-                hier.counts().l2Misses != audited_misses) {
-                audited_misses = hier.counts().l2Misses;
-                auditor.auditBlocking(hier, now, "L2/SRAM miss");
-            }
-
-            if (++in_slice >= cfg.quantumRefs) {
-                in_slice = 0;
-                current = (current + 1) % sources.size();
-                // Audit the boundary first, then corrupt: the
-                // planned fault lands on provably clean state, so
-                // the violation the next audit raises is the
-                // injector's.
-                auditor.auditBlocking(hier, now, "quantum boundary");
-                if (injector.pending())
-                    injector.apply(hier);
-            }
-        }
-    }
-
-    auditor.auditBlocking(hier, now, "end of run");
-    if (injector.pending())
-        warnOnce("fault injection: '%s' was never applied (the run "
-                 "ended before its first quantum boundary)",
-                 modelFaultName(injector.planned().kind));
-
-    SimResult result;
-    result.elapsedPs = now;
-    result.counts = hier.counts();
-    result.systemName = hier.name();
-    result.issueHz = hier.commonConfig().issueHz;
-    result.traceGenSeconds = fillSeconds;
-    result.stats = hier.statsRegistry().snapshot();
-    result.stats.addCounter("sim.elapsed_ps",
-                            "elapsed simulated picoseconds", now);
-    result.stats.addValue("sim.seconds", "elapsed simulated seconds",
-                          result.seconds());
-    if (auditor.enabled()) {
-        result.stats.addCounter("audit.runs",
-                                "model-integrity audit passes",
-                                auditor.auditsRun());
-        result.stats.addCounter("audit.checks",
-                                "individual invariant checks run",
-                                auditor.checksRun());
-    }
-    obs.finish(result, cfg.maxRefs, now);
-    return result;
-}
-
-SimResult
-Simulator::runMulticore()
+Simulator::run()
 {
     const unsigned ncores = hier.coreCount();
     if (sources.size() < ncores)
@@ -344,19 +204,21 @@ Simulator::runMulticore()
 
     // Core scheduling is chunk-granular: every loop iteration hands
     // the least-advanced core up to batchRefs of work, whatever the
-    // audit/observability level.  When a per-reference facility is on
-    // (paranoid audits, tracing, interval stats, the generic-dispatch
-    // seam) the chunk is processed one reference at a time *inside*
-    // the iteration, so those facilities regain per-reference
-    // granularity without perturbing the core interleave — runs are
-    // byte-identical at every audit level, as in the single-core
-    // drivers.
+    // audit/observability level.  Chunks never cross a quantum
+    // boundary and (switch-on-miss) end at the first deferred fault,
+    // so the boundary machinery below runs exactly where a
+    // per-reference loop would run it.  When a per-reference facility
+    // is on (paranoid audits, tracing, interval stats) access_each
+    // walks the chunk one reference at a time *inside* the iteration,
+    // so those facilities regain per-reference granularity without
+    // perturbing the schedule — runs are byte-identical at every
+    // audit and observability level.
     const bool fast_loop = fastLoopEligible(auditor);
 
-    // A batch the switch-on-miss path cuts short at a fault leaves
+    // A chunk the switch-on-miss path cuts short at a fault leaves
     // unconsumed references behind; each source keeps a persistent
-    // buffer drained strictly in order so its reference sequence is
-    // exactly what a per-reference loop would have pulled.
+    // buffer drained strictly in order, so what a fault leaves over
+    // is simply what that process runs next time it is scheduled.
     struct Buffered
     {
         std::vector<MemRef> refs;
@@ -387,18 +249,52 @@ Simulator::runMulticore()
     // the per-core clocks additionally carry bus-contention waits the
     // event counts deliberately do not price.
     Tick priced = 0;
-    // Shared transfer bus (the single Rambus channel): one core's
-    // page transfer or miss traffic delays every other core's, the
-    // multicore generalization of the single-core switch-on-miss
-    // channel serialization.
+    // Shared transfer bus (the single Rambus channel, §2.4 models no
+    // pipelining of references): one core's page transfer or miss
+    // traffic delays every other core's.
     Tick bus_free_at = 0;
     Tick bus_stall = 0;
     std::uint64_t audited_misses = hier.counts().l2Misses;
     std::uint64_t executed = 0;
 
+    // The per-reference walk over one chunk: returns what
+    // accessBatch(refs, n, stop_on_deferred_fault) returns and stops
+    // at the same reference.  `now` is the core clock at the chunk
+    // start; `audit_miss(at)` is the mode's paranoid audit, run after
+    // every reference that reached the L2/SRAM level.
+    auto access_each = [&](const MemRef *refs, std::size_t n,
+                           bool stop_on_deferred_fault, Tick now,
+                           auto &&audit_miss) {
+        BatchOutcome out;
+        while (out.consumed < n) {
+            obs.setNow(now + out.cpuPs + out.deferPs);
+            AccessOutcome one = hier.access(refs[out.consumed]);
+            ++out.consumed;
+            out.cpuPs += one.cpuPs;
+            bool stop = stop_on_deferred_fault && one.pageFault &&
+                        one.deferPs > 0;
+            // A switch-on-miss fault's transfer overlaps other
+            // processes' execution: it never advances this clock.
+            if (!stop)
+                out.deferPs += one.deferPs;
+            Tick at = now + out.cpuPs + out.deferPs;
+            obs.maybeSample(executed + out.consumed, at);
+            if (auditor.paranoid() &&
+                hier.counts().l2Misses != audited_misses) {
+                audited_misses = hier.counts().l2Misses;
+                audit_miss(at);
+            }
+            if (stop) {
+                out.deferPs = one.deferPs;
+                out.pageFault = true;
+                break;
+            }
+        }
+        return out;
+    };
+
     if (cfg.switchOnMiss && cfg.insertSwitchTrace) {
-        // Every core boots into its first process, as the single-core
-        // driver does before its loop.
+        // Every core boots into its first process.
         for (unsigned c = 0; c < ncores; ++c) {
             hier.activateCore(static_cast<CoreId>(c));
             Tick t = hier.runContextSwitchTrace();
@@ -412,7 +308,7 @@ Simulator::runMulticore()
     while (executed < cfg.maxRefs) {
         checkWatchdog();
         // Deterministic interleave: the least-advanced core runs the
-        // next quantum of work; the lowest core id breaks ties.
+        // next chunk of work; the lowest core id breaks ties.
         unsigned k = 0;
         for (unsigned c = 1; c < ncores; ++c)
             if (cores[c].now < cores[k].now)
@@ -424,6 +320,7 @@ Simulator::runMulticore()
         if (!cfg.switchOnMiss) {
             if (core.inSlice == 0 && cfg.insertSwitchTrace) {
                 Tick t = hier.runContextSwitchTrace();
+                RAMPAGE_TRACE_EVENT(ContextSwitch, t, 0, osPid);
                 core.now += t;
                 priced += t;
                 obs.setNow(core.now);
@@ -434,32 +331,21 @@ Simulator::runMulticore()
             fillRefs(core.srcs[core.current], scratch.data(),
                      static_cast<std::size_t>(n));
             Tick dram_before = hier.counts().dramPs;
-            if (fast_loop) {
-                BatchOutcome out = hier.accessBatch(
-                    scratch.data(), static_cast<std::size_t>(n),
-                    false);
-                Tick spent = out.cpuPs + out.deferPs;
-                core.now += spent;
-                priced += spent;
-            } else {
-                for (std::uint64_t i = 0; i < n; ++i) {
-                    obs.setNow(core.now);
-                    AccessOutcome one =
-                        cfg.genericDispatch
-                            ? hier.accessGeneric(scratch[i])
-                            : hier.access(scratch[i]);
-                    Tick spent = one.cpuPs + one.deferPs;
-                    core.now += spent;
-                    priced += spent;
-                    obs.maybeSample(executed + i + 1, core.now);
-                    if (auditor.paranoid() &&
-                        hier.counts().l2Misses != audited_misses) {
-                        audited_misses = hier.counts().l2Misses;
-                        auditor.auditBlocking(hier, priced,
-                                              "L2/SRAM miss");
-                    }
-                }
-            }
+            BatchOutcome out =
+                fast_loop
+                    ? hier.accessBatch(scratch.data(),
+                                       static_cast<std::size_t>(n),
+                                       false)
+                    : access_each(scratch.data(),
+                                  static_cast<std::size_t>(n), false,
+                                  core.now, [&](Tick at) {
+                                      auditor.auditBlocking(
+                                          hier, priced + (at - core.now),
+                                          "L2/SRAM miss");
+                                  });
+            Tick spent = out.cpuPs + out.deferPs;
+            core.now += spent;
+            priced += spent;
             executed += n;
             core.inSlice += n;
 
@@ -476,117 +362,89 @@ Simulator::runMulticore()
                 }
                 bus_free_at = core.now;
             }
-            if (fast_loop)
-                obs.maybeSample(executed, core.now);
 
             if (core.inSlice >= cfg.quantumRefs) {
                 core.inSlice = 0;
                 core.current = (core.current + 1) % core.srcs.size();
-                auditor.auditBlocking(hier, priced,
-                                      "quantum boundary");
+                // Audit the boundary first, then corrupt: the planned
+                // fault lands on provably clean state, so the
+                // violation the next audit raises is the injector's.
+                auditor.auditBlocking(hier, priced, "quantum boundary");
                 if (injector.pending())
                     injector.apply(hier);
             }
-        } else {
-            Scheduler &sched = *core.sched;
-            std::size_t src = core.srcs[sched.current()];
-            Buffered &buf = bufs[src];
-            if (buf.pos == buf.refs.size()) {
-                buf.refs.resize(batchRefs);
-                fillRefs(src, buf.refs.data(), batchRefs);
-                buf.pos = 0;
-            }
-            std::uint64_t n = std::min(
-                {cfg.maxRefs - executed, sched.refsUntilQuantum(),
-                 static_cast<std::uint64_t>(buf.refs.size() -
-                                            buf.pos),
-                 batchRefs});
-            BatchOutcome out;
-            if (fast_loop) {
-                out = hier.accessBatch(
-                    buf.refs.data() + buf.pos,
-                    static_cast<std::size_t>(n), true);
-            } else {
-                // Per-reference walk over the same chunk, stopping at
-                // the first deferred fault exactly as accessBatch
-                // does, so the schedule (and thus the whole run) is
-                // independent of the audit/observability level.
-                while (out.consumed < n) {
-                    obs.setNow(core.now + out.cpuPs);
-                    AccessOutcome one =
-                        cfg.genericDispatch
-                            ? hier.accessGeneric(
-                                  buf.refs[buf.pos + out.consumed])
-                            : hier.access(
-                                  buf.refs[buf.pos + out.consumed]);
-                    ++out.consumed;
-                    out.cpuPs += one.cpuPs;
-                    obs.maybeSample(executed + out.consumed,
-                                    core.now + out.cpuPs);
-                    if (auditor.paranoid() &&
-                        hier.counts().l2Misses != audited_misses) {
-                        audited_misses = hier.counts().l2Misses;
-                        auditor.auditSwitchOnMiss(hier, sched,
-                                                  core.now + out.cpuPs,
-                                                  "SRAM miss");
-                    }
-                    if (one.pageFault && one.deferPs > 0) {
-                        out.deferPs = one.deferPs;
-                        out.pageFault = true;
-                        break;
-                    }
-                }
-            }
-            buf.pos += out.consumed;
-            core.now += out.cpuPs;
-            priced += out.cpuPs;
-            executed += out.consumed;
-            bool quantum_expired = sched.onRefs(out.consumed);
-            if (fast_loop)
-                obs.maybeSample(executed, core.now);
+            continue;
+        }
 
-            if (out.pageFault) {
-                auditor.auditSwitchOnMiss(hier, sched, core.now,
-                                          "miss boundary");
-                // The shared channel serializes every core's page
-                // transfers: the move starts when the bus frees.
-                Tick start = std::max(core.now, bus_free_at);
-                Tick done = start + out.deferPs;
-                bus_free_at = done;
-                priced += out.deferPs;
+        Scheduler &sched = *core.sched;
+        std::size_t src = core.srcs[sched.current()];
+        Buffered &buf = bufs[src];
+        if (buf.pos == buf.refs.size()) {
+            buf.refs.resize(batchRefs);
+            fillRefs(src, buf.refs.data(), batchRefs);
+            buf.pos = 0;
+        }
+        std::uint64_t n = std::min(
+            {cfg.maxRefs - executed, sched.refsUntilQuantum(),
+             static_cast<std::uint64_t>(buf.refs.size() - buf.pos)});
+        const MemRef *refs = buf.refs.data() + buf.pos;
+        BatchOutcome out =
+            fast_loop
+                ? hier.accessBatch(refs, static_cast<std::size_t>(n),
+                                   true)
+                : access_each(refs, static_cast<std::size_t>(n), true,
+                              core.now, [&](Tick at) {
+                                  auditor.auditSwitchOnMiss(
+                                      hier, sched, at, "SRAM miss");
+                              });
+        buf.pos += out.consumed;
+        core.now += out.cpuPs;
+        priced += out.cpuPs;
+        executed += out.consumed;
+        bool quantum_expired = sched.onRefs(out.consumed);
+        if (!out.pageFault && !quantum_expired)
+            continue;
 
-                if (cfg.insertSwitchTrace) {
-                    Tick t = hier.runContextSwitchTrace();
-                    core.now += t;
-                    priced += t;
-                }
-                SchedPick pick = sched.blockCurrent(core.now, done);
-                core.now = std::max(core.now, pick.resumeAt);
+        // A switch: the fault branch wins over an expiry on the same
+        // reference.  Audit before it, while the process that faulted
+        // or expired is still the running one, so a corrupted run
+        // queue is caught while it is visibly wrong.
+        auditor.auditSwitchOnMiss(hier, sched, core.now,
+                                  out.pageFault ? "miss boundary"
+                                                : "quantum boundary");
+        Tick transfer_done = 0;
+        if (out.pageFault) {
+            // The handler has queued the transfer; the shared channel
+            // serializes every core's page moves, so it starts when
+            // the bus frees.
+            transfer_done = std::max(core.now, bus_free_at) + out.deferPs;
+            bus_free_at = transfer_done;
+            priced += out.deferPs;
+        }
+        if (cfg.insertSwitchTrace) {
+            obs.setNow(core.now);
+            Tick t = hier.runContextSwitchTrace();
+            // Argument: index of the reference that ended the slice.
+            RAMPAGE_TRACE_EVENT(ContextSwitch, t, executed - 1, osPid);
+            core.now += t;
+            priced += t;
+        }
+        SchedPick pick = out.pageFault
+                             ? sched.blockCurrent(core.now, transfer_done)
+                             : sched.rotate(core.now);
+        obs.setNow(core.now);
+        RAMPAGE_TRACE_EVENT(
+            ProcessSwitch,
+            pick.resumeAt > core.now ? pick.resumeAt - core.now : 0,
+            core.srcs[pick.index],
+            static_cast<Pid>(core.srcs[pick.index]));
+        core.now = std::max(core.now, pick.resumeAt);
 
-                if (injector.pending()) {
-                    if (injector.targetsScheduler())
-                        injector.applyScheduler(sched, core.now);
-                    else
-                        injector.apply(hier);
-                }
-            } else if (quantum_expired) {
-                auditor.auditSwitchOnMiss(hier, sched, core.now,
-                                          "quantum boundary");
-                if (cfg.insertSwitchTrace) {
-                    Tick t = hier.runContextSwitchTrace();
-                    core.now += t;
-                    priced += t;
-                }
-                SchedPick pick = sched.rotate(core.now);
-                core.now = std::max(core.now, pick.resumeAt);
-
-                if (injector.pending()) {
-                    if (injector.targetsScheduler())
-                        injector.applyScheduler(sched, core.now);
-                    else
-                        injector.apply(hier);
-                }
-            }
+        if (injector.pending()) {
+            if (injector.targetsScheduler())
+                injector.applyScheduler(sched, core.now);
+            else
+                injector.apply(hier);
         }
     }
 
@@ -615,6 +473,8 @@ Simulator::runMulticore()
     result.traceGenSeconds = fillSeconds;
     result.stats = hier.statsRegistry().snapshot();
     if (cfg.switchOnMiss) {
+        // The schedulers are local to this run: snapshot them through
+        // a throwaway registry so no dangling pointer outlives it.
         SchedStats total;
         StatsRegistry sched_reg;
         for (unsigned c = 0; c < ncores; ++c) {
@@ -657,234 +517,6 @@ Simulator::runMulticore()
                                 auditor.checksRun());
     }
     obs.finish(result, cfg.maxRefs, end_now);
-    return result;
-}
-
-SimResult
-Simulator::runSwitchOnMiss()
-{
-    Auditor auditor(cfg.auditLevel);
-    FaultInjector injector(parseFaultPlan(cfg.faultPlan));
-    ObsScope obs(cfg, hier.statsRegistry());
-    Scheduler sched(sources.size(), cfg.quantumRefs);
-    Tick now = 0;
-    Tick channel_free_at = 0;
-    std::uint64_t audited_misses = hier.counts().l2Misses;
-
-    if (cfg.insertSwitchTrace)
-        now += hier.runContextSwitchTrace();
-
-    if (fastLoopEligible(auditor)) {
-        // Batched inner loop.  Batches never cross a quantum
-        // boundary (capped at refsUntilQuantum()) and stop at the
-        // first deferred fault, so the miss/quantum boundary
-        // machinery below runs exactly where the per-reference loop
-        // runs it.  The fault branch wins over an expiry on the same
-        // reference, as in the per-reference loop; either way the
-        // scheduler pick resets the slice.
-        //
-        // A batch that a fault cuts short leaves unconsumed
-        // references behind, and the per-reference loop would never
-        // have pulled those from the source.  Each source therefore
-        // gets a persistent buffer drained strictly in order: what a
-        // fault leaves over is simply what that process runs next
-        // time it is scheduled, and the per-source reference
-        // sequences stay exactly the per-reference loop's.
-        struct Buffered
-        {
-            std::vector<MemRef> refs;
-            std::size_t pos = 0;
-        };
-        std::vector<Buffered> bufs(sources.size());
-        std::uint64_t executed = 0;
-        while (executed < cfg.maxRefs) {
-            checkWatchdog();
-            Buffered &buf = bufs[sched.current()];
-            if (buf.pos == buf.refs.size()) {
-                buf.refs.resize(batchRefs);
-                fillRefs(sched.current(), buf.refs.data(), batchRefs);
-                buf.pos = 0;
-            }
-            std::uint64_t n = std::min(
-                {cfg.maxRefs - executed, sched.refsUntilQuantum(),
-                 static_cast<std::uint64_t>(buf.refs.size() -
-                                            buf.pos)});
-            BatchOutcome out = hier.accessBatch(
-                buf.refs.data() + buf.pos,
-                static_cast<std::size_t>(n), true);
-            buf.pos += out.consumed;
-            now += out.cpuPs;
-            executed += out.consumed;
-
-            bool quantum_expired = sched.onRefs(out.consumed);
-
-            if (out.pageFault) {
-                // Audit before the switch: the faulting process is
-                // still the running one, so a corrupted run queue is
-                // caught while it is visibly wrong.
-                auditor.auditSwitchOnMiss(hier, sched, now,
-                                          "miss boundary");
-
-                // The handler has queued the transfer; the single
-                // Rambus channel serializes outstanding page moves
-                // (§2.4 models no pipelining of references).  Only
-                // the batch-ending fault carries deferrable time, so
-                // the batch sum is that fault's transfer.
-                Tick start = std::max(now, channel_free_at);
-                Tick done = start + out.deferPs;
-                channel_free_at = done;
-
-                if (cfg.insertSwitchTrace)
-                    now += hier.runContextSwitchTrace();
-                SchedPick pick = sched.blockCurrent(now, done);
-                now = std::max(now, pick.resumeAt);
-
-                if (injector.pending()) {
-                    if (injector.targetsScheduler())
-                        injector.applyScheduler(sched, now);
-                    else
-                        injector.apply(hier);
-                }
-            } else if (quantum_expired) {
-                auditor.auditSwitchOnMiss(hier, sched, now,
-                                          "quantum boundary");
-
-                if (cfg.insertSwitchTrace)
-                    now += hier.runContextSwitchTrace();
-                SchedPick pick = sched.rotate(now);
-                now = std::max(now, pick.resumeAt);
-
-                if (injector.pending()) {
-                    if (injector.targetsScheduler())
-                        injector.applyScheduler(sched, now);
-                    else
-                        injector.apply(hier);
-                }
-            }
-        }
-    } else {
-        for (std::uint64_t executed = 0; executed < cfg.maxRefs;
-             ++executed) {
-            checkWatchdog();
-            obs.setNow(now);
-            MemRef ref = pull(sched.current());
-            AccessOutcome out = cfg.genericDispatch
-                                    ? hier.accessGeneric(ref)
-                                    : hier.access(ref);
-            now += out.cpuPs;
-            obs.maybeSample(executed + 1, now);
-
-            bool quantum_expired = sched.onRef();
-
-            if (auditor.paranoid() &&
-                hier.counts().l2Misses != audited_misses) {
-                audited_misses = hier.counts().l2Misses;
-                auditor.auditSwitchOnMiss(hier, sched, now,
-                                          "SRAM miss");
-            }
-
-            if (out.pageFault && out.deferPs > 0) {
-                // Audit before the switch: the faulting process is
-                // still the running one, so a corrupted run queue is
-                // caught while it is visibly wrong.
-                auditor.auditSwitchOnMiss(hier, sched, now,
-                                          "miss boundary");
-
-                // The handler has queued the transfer; the single
-                // Rambus channel serializes outstanding page moves
-                // (§2.4 models no pipelining of references).
-                Tick start = std::max(now, channel_free_at);
-                Tick done = start + out.deferPs;
-                channel_free_at = done;
-
-                if (cfg.insertSwitchTrace) {
-                    obs.setNow(now);
-                    Tick switch_ps = hier.runContextSwitchTrace();
-                    RAMPAGE_TRACE_EVENT(ContextSwitch, switch_ps,
-                                        executed, osPid);
-                    now += switch_ps;
-                }
-                SchedPick pick = sched.blockCurrent(now, done);
-                obs.setNow(now);
-                RAMPAGE_TRACE_EVENT(ProcessSwitch,
-                                    pick.resumeAt > now
-                                        ? pick.resumeAt - now
-                                        : 0,
-                                    pick.index,
-                                    static_cast<Pid>(pick.index));
-                now = std::max(now, pick.resumeAt);
-
-                if (injector.pending()) {
-                    if (injector.targetsScheduler())
-                        injector.applyScheduler(sched, now);
-                    else
-                        injector.apply(hier);
-                }
-            } else if (quantum_expired) {
-                auditor.auditSwitchOnMiss(hier, sched, now,
-                                          "quantum boundary");
-
-                if (cfg.insertSwitchTrace) {
-                    obs.setNow(now);
-                    Tick switch_ps = hier.runContextSwitchTrace();
-                    RAMPAGE_TRACE_EVENT(ContextSwitch, switch_ps,
-                                        executed, osPid);
-                    now += switch_ps;
-                }
-                SchedPick pick = sched.rotate(now);
-                obs.setNow(now);
-                RAMPAGE_TRACE_EVENT(ProcessSwitch, 0, pick.index,
-                                    static_cast<Pid>(pick.index));
-                now = std::max(now, pick.resumeAt);
-
-                if (injector.pending()) {
-                    if (injector.targetsScheduler())
-                        injector.applyScheduler(sched, now);
-                    else
-                        injector.apply(hier);
-                }
-            }
-        }
-    }
-
-    // Any transfer still in flight must complete before the run ends.
-    now = std::max(now, channel_free_at);
-    auditor.auditSwitchOnMiss(hier, sched, now, "end of run");
-    if (injector.pending())
-        warnOnce("fault injection: '%s' was never applied (the run "
-                 "ended before its first switch boundary)",
-                 modelFaultName(injector.planned().kind));
-
-    SimResult result;
-    result.elapsedPs = now;
-    result.stallPs = sched.stats().stallTime;
-    result.counts = hier.counts();
-    result.sched = sched.stats();
-    result.systemName = hier.name();
-    result.issueHz = hier.commonConfig().issueHz;
-    result.traceGenSeconds = fillSeconds;
-    result.stats = hier.statsRegistry().snapshot();
-    // The scheduler is local to this run: snapshot it through a
-    // throwaway registry so no dangling pointer outlives the call.
-    StatsRegistry sched_reg;
-    sched.registerStats(sched_reg, "sched");
-    result.stats.append(sched_reg.snapshot());
-    result.stats.addCounter("sim.elapsed_ps",
-                            "elapsed simulated picoseconds", now);
-    result.stats.addCounter("sim.stall_ps",
-                            "CPU idle ps waiting for page transfers",
-                            result.stallPs);
-    result.stats.addValue("sim.seconds", "elapsed simulated seconds",
-                          result.seconds());
-    if (auditor.enabled()) {
-        result.stats.addCounter("audit.runs",
-                                "model-integrity audit passes",
-                                auditor.auditsRun());
-        result.stats.addCounter("audit.checks",
-                                "individual invariant checks run",
-                                auditor.checksRun());
-    }
-    obs.finish(result, cfg.maxRefs, now);
     return result;
 }
 

@@ -81,14 +81,6 @@ struct SimConfig
     /** Trace-ring capacity in events (overflow counts as dropped). */
     std::size_t traceRingCapacity = defaultTraceRingCapacity;
     /**
-     * Test seam: route every reference through the dynamically-
-     * dispatched generic engine (Hierarchy::accessGeneric) and the
-     * per-reference loop, bypassing the batched fast path.  The
-     * dispatch-equivalence tests prove runs with this on and off
-     * bit-identical; production configs leave it off.
-     */
-    bool genericDispatch = false;
-    /**
      * CPU cores the built hierarchy should have (factory-level knob,
      * consumed by sweep::simulateSystem before construction — the
      * Simulator itself follows Hierarchy::coreCount()).  0 leaves the
@@ -97,15 +89,6 @@ struct SimConfig
      * RAMPAGE_CORES.
      */
     unsigned cores = 0;
-    /**
-     * Test seam: drive the run through the multicore round-robin
-     * driver even with one core.  The forced single-core multicore
-     * run is bit-identical to the legacy driver at audit levels
-     * Off/Boundaries without timeline tracing (the multicore loop
-     * batches per core, so per-reference trace events and paranoid
-     * audit cadence differ); tests/test_multicore.cc proves it.
-     */
-    bool forceMulticoreDriver = false;
 };
 
 /** Result of one simulation. */
@@ -142,10 +125,9 @@ struct SimResult
      * — lazy synthetic trace generation interleaved with simulation.
      * The sweep harness re-attributes this to the trace_gen phase so
      * the simulate phase (the denominator of refs_per_sec) prices
-     * simulation alone, as documented.  Only the batched fast loops
-     * are instrumented; the per-reference slow paths (tracing,
-     * interval stats, paranoid audits, generic dispatch) fold
-     * generation into the simulate phase as before.
+     * simulation alone, as documented.  Every run fills its chunks
+     * through the same instrumented call, so traced, interval-stats
+     * and paranoid-audited runs attribute generation the same way.
      */
     double traceGenSeconds = 0;
 
@@ -166,31 +148,37 @@ class Simulator
               std::vector<std::unique_ptr<TraceSource>> workload,
               const SimConfig &config);
 
-    /** Run to completion and report. */
+    /**
+     * Run to completion and report.  One driver serves every core
+     * count and both schedules: per-core run queues over per-core
+     * trace sources (source i on core i % N), a deterministic
+     * least-advanced-core-first interleave in chunks of up to 4096
+     * references (core id breaks ties), per-core switch-on-miss
+     * schedulers, and the shared transfer bus serializing every
+     * core's DRAM traffic (MemoryBackend-style busFreeAt occupancy).
+     * Blocking-mode audits check the *globally priced* time — with
+     * several cores the per-core clocks include bus-contention waits
+     * the event counts deliberately do not price.
+     */
     SimResult run();
 
   private:
-    /** Pull the next reference from stream `index`, replaying at end. */
-    MemRef pull(std::size_t index);
-
     /**
      * Fill `buf` with exactly `n` references from stream `index`,
-     * rewinding and replaying at end-of-stream — the bulk form of
-     * pull(), producing the identical sequence.  The wall-clock it
+     * rewinding and replaying at end-of-stream.  The wall-clock it
      * consumes is accumulated into SimResult::traceGenSeconds (one
-     * clock pair per multi-thousand-reference batch).
+     * clock pair per multi-thousand-reference chunk).
      */
     void fillRefs(std::size_t index, MemRef *buf, std::size_t n);
 
     double fillSeconds = 0; ///< see SimResult::traceGenSeconds
 
     /**
-     * True when the run can use the batched, statically-dispatched
-     * inner loop: no per-reference observability (timeline tracing,
-     * interval stats), no per-miss paranoid audits, and the generic-
-     * dispatch test seam off.  Boundary-level audits and fault
-     * injection are batch-compatible (both fire at quantum/miss
-     * boundaries, which the batched loops respect exactly).
+     * True when a chunk can go to Hierarchy::accessBatch() whole: no
+     * per-reference observability (timeline tracing, interval stats)
+     * and no per-miss paranoid audits.  Boundary-level audits and
+     * fault injection are chunk-compatible (both fire at quantum/miss
+     * boundaries, which chunks never cross).
      */
     bool fastLoopEligible(const Auditor &auditor) const;
 
@@ -200,21 +188,6 @@ class Simulator
      * enforces SimConfig::watchdogRefBudget (throws InternalError).
      */
     void checkWatchdog() const;
-
-    SimResult runBlocking();
-    SimResult runSwitchOnMiss();
-
-    /**
-     * The N-core driver: per-core run queues over per-core trace
-     * sources, deterministic least-advanced-core-first interleave
-     * (core id breaks ties), per-core switch-on-miss schedulers, and
-     * the shared transfer bus serializing every core's DRAM traffic
-     * (MemoryBackend-style busFreeAt occupancy).  Blocking-mode
-     * audits check the *globally priced* time — the per-core clocks
-     * include bus-contention waits the event counts deliberately do
-     * not price.
-     */
-    SimResult runMulticore();
 
     Hierarchy &hier;
     std::vector<std::unique_ptr<TraceSource>> sources;

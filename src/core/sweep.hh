@@ -261,9 +261,9 @@ struct PointOutcome
     std::vector<std::string> debugTail;
     /**
      * The exception the point raised, for embedders that want to
-     * rethrow a failure with full fidelity (runBlockingSweep turns a
-     * failed bench point back into the error a serial run would have
-     * surfaced).  Null unless Failed/AuditFailed.
+     * rethrow a failure with full fidelity (the benches' blocking
+     * sweep helper turns a failed bench point back into the error a
+     * serial run would have surfaced).  Null unless Failed/AuditFailed.
      */
     std::exception_ptr exception;
     /**

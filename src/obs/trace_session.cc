@@ -1,5 +1,6 @@
 #include "obs/trace_session.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -134,11 +135,18 @@ TraceSession::writeChromeTrace(const std::string &path) const
     }
 
     // Ring order: oldest first.  Before wrap the ring is ring[0..n);
-    // after wrap the oldest retained event sits at `head`.
-    std::size_t n = ring.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceEvent &event =
-            ring[(n == cap) ? (head + i) % cap : i];
+    // after wrap the oldest retained event sits at `head`.  A
+    // multicore run interleaves its cores' clocks chunk by chunk, so
+    // emission order is not time order: write the events sorted by
+    // simulated time, stably, so equal stamps keep emission order
+    // (and an already-ordered single-core ring is written as is).
+    std::vector<TraceEvent> ordered(ring.begin() + head, ring.end());
+    ordered.insert(ordered.end(), ring.begin(), ring.begin() + head);
+    std::stable_sort(ordered.begin(), ordered.end(),
+                     [](const TraceEvent &a, const TraceEvent &b) {
+                         return a.tsPs < b.tsPs;
+                     });
+    for (const TraceEvent &event : ordered) {
         double ts_ns = static_cast<double>(event.tsPs) / 1000.0;
         if (event.durPs > 0) {
             double dur_ns = static_cast<double>(event.durPs) / 1000.0;

@@ -28,9 +28,11 @@
  * The ring keeps the *newest* `capacity` events: once full, each new
  * event overwrites the oldest and increments the drop count, which the
  * Simulator surfaces as `sim.trace.dropped` so a truncated timeline is
- * always visible in the stats. Files are written to "<path>.tmp" and
- * renamed into place, so readers (and crashed --isolate children)
- * never observe a torn trace.
+ * always visible in the stats.  The file lists the retained events
+ * in simulated-time order (a multicore run emits its cores' events
+ * chunk by chunk, out of time order).  Files are written to
+ * "<path>.tmp" and renamed into place, so readers (and crashed
+ * --isolate children) never observe a torn trace.
  */
 
 #ifndef RAMPAGE_OBS_TRACE_SESSION_HH

@@ -3,7 +3,7 @@
  * Multiprogramming scheduler for context-switch-on-miss (paper §4.6).
  *
  * Under plain RAMpage and the conventional hierarchies, time slicing
- * is pure round-robin (src/trace/interleaver.hh).  With context
+ * is pure round-robin, kept by the Simulator itself.  With context
  * switches on misses, scheduling becomes timing-coupled: a process
  * that faults to DRAM blocks until its page transfer completes, the
  * CPU switches to another ready process, and if every process is
@@ -58,16 +58,10 @@ class Scheduler
     std::size_t current() const { return running; }
 
     /**
-     * Account one executed reference against the quantum.
+     * Account `n` executed references against the quantum; `n` must
+     * not exceed refsUntilQuantum().
      * @retval true the quantum just expired (caller should charge a
      *         context switch and call rotate()).
-     */
-    bool onRef();
-
-    /**
-     * Account `n` executed references at once; `n` must not exceed
-     * refsUntilQuantum().  Exactly equivalent to calling onRef() `n`
-     * times (only the last call can return true, by the precondition).
      */
     bool onRefs(std::uint64_t n);
 
@@ -109,7 +103,7 @@ class Scheduler
      * Self-audit at time `now`: the running process must exist and be
      * ready (the simulator always advances time to the pick's
      * resumeAt before executing), and the slice counter must not
-     * exceed the quantum (onRef() resets it at expiry).
+     * exceed the quantum (onRefs() resets it at expiry).
      */
     void auditState(AuditContext &ctx, Tick now) const;
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Abstract source of memory references.  Concrete sources are the
- * synthetic program models (src/trace/synthetic.hh), trace files
- * (src/trace/file_format.hh) and the multiprogramming interleaver
- * (src/trace/interleaver.hh).
+ * synthetic program models (src/trace/synthetic.hh) and trace files
+ * (src/trace/file_format.hh); the Simulator multiprograms them,
+ * round-robin per time slice.
  */
 
 #ifndef RAMPAGE_TRACE_SOURCE_HH

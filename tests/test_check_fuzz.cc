@@ -19,6 +19,7 @@
 #include "check/repro.hh"
 #include "check/shrink.hh"
 #include "core/factory.hh"
+#include "core/sweep.hh"
 #include "util/error.hh"
 #include "util/random.hh"
 
@@ -127,6 +128,37 @@ TEST(FuzzProperties, OracleAgreesOnCanonicalPoints)
     }
     EXPECT_EQ(conventional, 1u);
     EXPECT_EQ(paged, 1u);
+}
+
+TEST(FuzzProperties, OracleAgreesOnDriverScales)
+{
+    // The four paper systems at a quantum-aligned scale and a ragged
+    // final slice, through the single simulation driver: the oracle
+    // replays the schedule independently, determinism reruns it, and
+    // the audit property reruns it per reference under paranoid
+    // audits and requires identical statistics.
+    const HierarchyConfig systems[] = {
+        baselineConfig(1'000'000'000ull, 128),
+        twoWayConfig(1'000'000'000ull, 128),
+        rampageConfig(1'000'000'000ull, 1024),
+        rampageConfig(1'000'000'000ull, 1024, true),
+    };
+    const char *const names[] = {"baseline 128 B", "2-way 128 B",
+                                 "RAMpage 1 KB", "RAMpage+switch 1 KB"};
+    const std::uint64_t scales[][2] = {{20'000, 2'000}, {60'000, 7'000}};
+    for (std::size_t s = 0; s < 4; ++s) {
+        for (const auto &scale : scales) {
+            FuzzPoint point;
+            point.hier = systems[s];
+            point.sim.maxRefs = scale[0];
+            point.sim.quantumRefs = scale[1];
+            PropertyReport report = checkPoint(point, fastProperties());
+            EXPECT_TRUE(report.ok())
+                << names[s] << " at " << scale[0] << "/"
+                << scale[1] << ":\n"
+                << report.summary();
+        }
+    }
 }
 
 TEST(FuzzAcceptance, SeededBugShrinksAndReplaysFailing)

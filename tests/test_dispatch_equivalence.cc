@@ -1,13 +1,8 @@
 /**
  * @file
- * Equivalence proofs for the devirtualized hot path.
+ * Equivalence proofs for the hot-path shortcuts.
  *
- * The statically-dispatched, batched inner loop (core/access_engine.hh
- * plus the Simulator's bulk loops) is a pure performance change: runs
- * through it must be *bit-identical* — same elapsed time, same full
- * statistics snapshot — to runs through the dynamically-dispatched
- * per-reference path (SimConfig::genericDispatch).  Likewise the
- * one-entry last-translation cache must never change a single
+ * The one-entry last-translation cache must never change a single
  * counter, and TraceSource::fill() must reproduce exactly the
  * reference sequence repeated next() calls produce, for every trace
  * family.  Finally, the cache's audit invariant (tlb.trans_cache)
@@ -30,7 +25,6 @@
 #include "core/sweep.hh"
 #include "trace/benchmarks.hh"
 #include "trace/file_format.hh"
-#include "trace/interleaver.hh"
 #include "trace/synthetic.hh"
 #include "util/error.hh"
 
@@ -40,26 +34,6 @@ namespace
 {
 
 constexpr std::uint64_t oneGhz = 1'000'000'000ull;
-
-/** One (refs, quantum) scale for the equivalence sweeps. */
-struct Scale
-{
-    std::uint64_t refs;
-    std::uint64_t quantum;
-};
-
-/** Two scales: quantum-aligned refs and a ragged final slice. */
-const Scale scales[] = {{20'000, 2'000}, {60'000, 7'000}};
-
-SimResult
-runSystem(const HierarchyConfig &cfg, const Scale &scale, bool generic)
-{
-    SimConfig sim;
-    sim.maxRefs = scale.refs;
-    sim.quantumRefs = scale.quantum;
-    sim.genericDispatch = generic;
-    return simulateSystem(cfg, sim);
-}
 
 void
 expectIdentical(const SimResult &a, const SimResult &b)
@@ -71,43 +45,6 @@ expectIdentical(const SimResult &a, const SimResult &b)
     // registered under the same names in the same order.
     EXPECT_EQ(a.stats.toJson().dump(), b.stats.toJson().dump());
 }
-
-class DispatchEquivalence : public ::testing::TestWithParam<Scale>
-{
-};
-
-TEST_P(DispatchEquivalence, BaselineBitIdentical)
-{
-    ConventionalConfig cfg = baselineConfig(oneGhz, 128);
-    expectIdentical(runSystem(cfg, GetParam(), false),
-                    runSystem(cfg, GetParam(), true));
-}
-
-TEST_P(DispatchEquivalence, TwoWayBitIdentical)
-{
-    ConventionalConfig cfg = twoWayConfig(oneGhz, 128);
-    expectIdentical(runSystem(cfg, GetParam(), false),
-                    runSystem(cfg, GetParam(), true));
-}
-
-TEST_P(DispatchEquivalence, RampageBitIdentical)
-{
-    RampageConfig cfg = rampageConfig(oneGhz, 1024);
-    expectIdentical(runSystem(cfg, GetParam(), false),
-                    runSystem(cfg, GetParam(), true));
-}
-
-TEST_P(DispatchEquivalence, RampageSwitchOnMissBitIdentical)
-{
-    // The paged config's switchOnMiss policy selects the
-    // timing-coupled scheduler loop (runSwitchOnMiss).
-    RampageConfig cfg = rampageConfig(oneGhz, 1024, true);
-    expectIdentical(runSystem(cfg, GetParam(), false),
-                    runSystem(cfg, GetParam(), true));
-}
-
-INSTANTIATE_TEST_SUITE_P(Scales, DispatchEquivalence,
-                         ::testing::ValuesIn(scales));
 
 // ------------------------------------------------- translation cache
 
@@ -241,50 +178,6 @@ TEST(TraceFill, SyntheticMatchesNext)
         SyntheticProgram via_fill(profile, 3);
         expectSameRefs(byNext(via_next, 5000),
                        byFill(via_fill, 5000, chunk));
-    }
-}
-
-std::vector<std::unique_ptr<TraceSource>>
-threePrograms()
-{
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    for (Pid pid = 0; pid < 3; ++pid) {
-        ProgramProfile profile;
-        profile.name = "prog" + std::to_string(pid);
-        profile.seed = 100 + pid;
-        sources.push_back(
-            std::make_unique<SyntheticProgram>(profile, pid));
-    }
-    return sources;
-}
-
-TEST(TraceFill, InterleaverMatchesNext)
-{
-    // Quantum 17 deliberately misaligns with every chunk size, so
-    // fills regularly span slice boundaries mid-request.
-    for (std::size_t chunk : fillChunks) {
-        Interleaver via_next(threePrograms(), 17);
-        Interleaver via_fill(threePrograms(), 17);
-        expectSameRefs(byNext(via_next, 4000),
-                       byFill(via_fill, 4000, chunk));
-        EXPECT_EQ(via_next.switchCount(), via_fill.switchCount());
-    }
-}
-
-TEST(TraceFill, InterleaverSingleRefFillTracksSwitchFlag)
-{
-    // With chunk size 1, fill() is next() exactly — including the
-    // switched-process flag the switch-on-miss driver reads.
-    Interleaver via_next(threePrograms(), 17);
-    Interleaver via_fill(threePrograms(), 17);
-    MemRef a, b;
-    for (int i = 0; i < 200; ++i) {
-        ASSERT_TRUE(via_next.next(a));
-        ASSERT_EQ(via_fill.fill(&b, 1), 1u);
-        ASSERT_EQ(a.vaddr, b.vaddr);
-        ASSERT_EQ(via_next.switchedProcess(),
-                  via_fill.switchedProcess())
-            << "ref " << i;
     }
 }
 

@@ -2,13 +2,9 @@
  * @file
  * Multicore driver proofs.
  *
- * The core/memory seam (CoreFrontend over a shared MemoryBackend) and
- * the N-core round-robin driver must not perturb the single-core
- * model: a run forced through the multicore driver with one core is
- * bit-identical to the legacy driver across all three hierarchy
- * families (at audit levels Off and Boundaries, without timeline
- * tracing — the multicore loop batches per core, so per-reference
- * trace events and paranoid audit cadence legitimately differ).
+ * The core/memory seam (CoreFrontend over a shared MemoryBackend)
+ * must not perturb the single-core model; SnapshotPin in
+ * tests/test_simulator.cc pins one- and four-core runs bit for bit.
  * Multicore runs must be deterministic — same stats snapshot run to
  * run and at any SweepRunner parallelism — and pass paranoid audits.
  * Finally the coherence-lite residency invariant must be a real
@@ -40,18 +36,6 @@ namespace
 
 constexpr std::uint64_t oneGhz = 1'000'000'000ull;
 
-SimResult
-runDriver(const HierarchyConfig &cfg, bool force_multicore,
-          AuditLevel level)
-{
-    SimConfig sim;
-    sim.maxRefs = 60'000;
-    sim.quantumRefs = 7'000; // ragged final slice on purpose
-    sim.auditLevel = level;
-    sim.forceMulticoreDriver = force_multicore;
-    return simulateSystem(cfg, sim);
-}
-
 void
 expectIdentical(const SimResult &a, const SimResult &b)
 {
@@ -60,36 +44,6 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.systemName, b.systemName);
     EXPECT_EQ(a.stats.toJson().dump(), b.stats.toJson().dump());
 }
-
-class ForcedDriverIdentity
-    : public ::testing::TestWithParam<AuditLevel>
-{
-};
-
-TEST_P(ForcedDriverIdentity, BaselineBitIdentical)
-{
-    ConventionalConfig cfg = baselineConfig(oneGhz, 128);
-    expectIdentical(runDriver(cfg, false, GetParam()),
-                    runDriver(cfg, true, GetParam()));
-}
-
-TEST_P(ForcedDriverIdentity, RampageBitIdentical)
-{
-    RampageConfig cfg = rampageConfig(oneGhz, 1024);
-    expectIdentical(runDriver(cfg, false, GetParam()),
-                    runDriver(cfg, true, GetParam()));
-}
-
-TEST_P(ForcedDriverIdentity, RampageSwitchOnMissBitIdentical)
-{
-    RampageConfig cfg = rampageConfig(oneGhz, 1024, true);
-    expectIdentical(runDriver(cfg, false, GetParam()),
-                    runDriver(cfg, true, GetParam()));
-}
-
-INSTANTIATE_TEST_SUITE_P(AuditLevels, ForcedDriverIdentity,
-                         ::testing::Values(AuditLevel::Off,
-                                           AuditLevel::Boundaries));
 
 // ---------------------------------------------------- multicore runs
 

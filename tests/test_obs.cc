@@ -14,6 +14,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "core/factory.hh"
 #include "core/hierarchy.hh"
@@ -198,6 +199,28 @@ TEST(TraceSession, WritesWellFormedChromeTrace)
     EXPECT_EQ(doc.at("otherData").at("dropped").asInt(), 0);
 }
 
+TEST(TraceSession, WritesEventsInSimulatedTimeOrder)
+{
+    // Two cores' chunks arrive out of time order; the file must list
+    // them by simulated time, equal stamps in emission order.
+    TraceSession session(3); // wraps: the oldest event is dropped
+    for (std::uint64_t ts : {9'000u, 5'000u, 7'000u, 5'000u}) {
+        session.setNow(ts);
+        session.emit(TraceEventKind::L2Miss, 0, ts + session.emitted(),
+                     1);
+    }
+    std::string path = tempPath("ordered.trace.json");
+    ASSERT_TRUE(session.writeChromeTrace(path));
+    JsonValue doc = JsonValue::parse(readFile(path));
+    const JsonValue &events = doc.at("traceEvents");
+    std::vector<std::int64_t> values;
+    for (std::size_t i = 0; i < events.size(); ++i)
+        if (events.at(i).at("ph").asString() != "M")
+            values.push_back(events.at(i).at("args").at("value").asInt());
+    EXPECT_EQ(values, (std::vector<std::int64_t>{5'001, 5'003, 7'002}));
+    std::remove(path.c_str());
+}
+
 TEST(TraceSession, WriteFailureReturnsFalse)
 {
     TraceSession session(4);
@@ -299,6 +322,60 @@ TEST(ObsSimulation, TracingDoesNotPerturbTheModel)
     }
     std::remove(traced.traceFile.c_str());
     std::remove(traced.intervalFile.c_str());
+}
+
+/** Events named `name` in a Chrome trace file's traceEvents. */
+std::uint64_t
+countTraceEvents(const std::string &path, const std::string &name)
+{
+    JsonValue doc = JsonValue::parse(readFile(path));
+    const JsonValue &events = doc.at("traceEvents");
+    std::uint64_t count = 0;
+    for (std::size_t i = 0; i < events.size(); ++i)
+        if (events.at(i).at("ph").asString() != "M" &&
+            events.at(i).at("name").asString() == name)
+            ++count;
+    return count;
+}
+
+/** A traced two-core run; asserts the ring kept every event. */
+SimResult
+tracedTwoCoreRun(const HierarchyConfig &cfg, const std::string &tag)
+{
+    SimConfig sim = tinySim(40'000, 5'000);
+    sim.cores = 2;
+    sim.traceOutBase = tempPath(tag);
+    SimResult result = simulateSystem(cfg, sim);
+    const StatsSnapshot::Entry *dropped =
+        result.stats.find("sim.trace.dropped");
+    EXPECT_NE(dropped, nullptr);
+    if (dropped) {
+        EXPECT_EQ(dropped->counter, 0u);
+    }
+    EXPECT_FALSE(result.traceFile.empty());
+    return result;
+}
+
+TEST(ObsSimulation, TwoCoreBlockingTraceHasEveryContextSwitch)
+{
+    SimResult result =
+        tracedTwoCoreRun(baselineConfig(oneGhz, 128), "cores2_blocking");
+    const StatsSnapshot::Entry *switches =
+        result.stats.find("sim.context_switches");
+    ASSERT_NE(switches, nullptr);
+    EXPECT_GT(switches->counter, 0u);
+    EXPECT_EQ(countTraceEvents(result.traceFile, "context_switch"),
+              switches->counter);
+    std::remove(result.traceFile.c_str());
+}
+
+TEST(ObsSimulation, TwoCoreSwitchOnMissTraceHasProcessSwitches)
+{
+    SimResult result = tracedTwoCoreRun(rampageConfig(oneGhz, 1024, true),
+                                        "cores2_switch_on_miss");
+    EXPECT_GT(result.sched.missSwitches, 0u);
+    EXPECT_GE(countTraceEvents(result.traceFile, "process_switch"), 1u);
+    std::remove(result.traceFile.c_str());
 }
 
 // --- phase profiler --------------------------------------------------

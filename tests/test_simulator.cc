@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "core/factory.hh"
 #include "core/hierarchy.hh"
@@ -167,6 +170,139 @@ TEST(Simulator, ElapsedGrowsWithRefs)
     };
     EXPECT_LT(elapsed(10'000), elapsed(40'000));
 }
+
+TEST(Simulator, ParanoidRunAttributesTraceGeneration)
+{
+    // Every run fills its chunks through the instrumented fill, so a
+    // per-reference (paranoid) run still reports generation time.
+    SimConfig sim = tinySim(20'000, 5'000);
+    sim.auditLevel = AuditLevel::Paranoid;
+    SimResult result = simulateSystem(baselineConfig(oneGhz, 128), sim);
+    EXPECT_GT(result.traceGenSeconds, 0.0);
+}
+
+// ------------------------------------------------ pinned run snapshots
+
+/** FNV-1a (64-bit) over a byte string, then a value's 8 LE bytes. */
+std::uint64_t
+snapshotHash(const SimResult &result)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](unsigned char byte) {
+        h ^= byte;
+        h *= 0x100000001b3ull;
+    };
+    for (char c : result.stats.toJson().dump())
+        mix(static_cast<unsigned char>(c));
+    for (int i = 0; i < 8; ++i)
+        mix(static_cast<unsigned char>(result.elapsedPs >> (8 * i)));
+    return h;
+}
+
+/** The pinned systems, in the order of the pinned[] rows. */
+HierarchyConfig
+pinSystem(int system)
+{
+    switch (system) {
+      case 0:
+        return baselineConfig(oneGhz, 128);
+      case 1:
+        return twoWayConfig(oneGhz, 128);
+      case 2:
+        return rampageConfig(oneGhz, 1024);
+      default:
+        return rampageConfig(oneGhz, 1024, true);
+    }
+}
+
+/** Pin variants: obs off at 1 and 4 cores, obs on at 1 core. */
+enum class PinRun
+{
+    OneCore,
+    FourCores,
+    OneCoreTraced,
+};
+
+/**
+ * Hashes of the full stats snapshot plus elapsed time for every
+ * (system, run, audit) combination below, captured before the three
+ * run loops were folded into one driver.  The traced rows include the
+ * sim.trace.events / sim.interval.epochs counters.  Any change to a
+ * single simulated quantity changes them; regenerate only for a
+ * deliberate change to the model.
+ */
+const std::uint64_t pinned[4][3][2] = {
+    // baseline 128 B
+    {{0xd1960f20810a79b1ull, 0x36af549c5b2031ddull},
+     {0x69558f43464c99cbull, 0xb6f3bf9e78ab62daull},
+     {0xd9e7f3c2c9e7cba1ull, 0xdc7c76b7ef13b705ull}},
+    // 2-way 128 B
+    {{0x7f1613a9072384c9ull, 0x2d85b344d8c225f0ull},
+     {0x47abd58d5cbb1b15ull, 0x82b61c294e463404ull},
+     {0xf79f3a39ea582664ull, 0x05cbfc9d88174f63ull}},
+    // RAMpage 1 KB
+    {{0x9d17b256f131143bull, 0xc5f997adc1495b58ull},
+     {0x1aba07420bf6e2dcull, 0x74194e7f49bf9f1bull},
+     {0xe03bd406b7c324e1ull, 0xf9d9ab10adedc1b4ull}},
+    // RAMpage 1 KB, switch on miss
+    {{0x92ea95a970f2dfd0ull, 0xefd36ee7b2c67897ull},
+     {0xd8a494b2401d030dull, 0x703077c0b8b70225ull},
+     {0xfad3e0fc9ef7c973ull, 0x2a06be9654106072ull}},
+};
+
+class SnapshotPin
+    : public ::testing::TestWithParam<std::tuple<int, PinRun, bool>>
+{
+};
+
+TEST_P(SnapshotPin, MatchesCapturedHash)
+{
+    const auto [system, run, paranoid] = GetParam();
+    SimConfig sim = tinySim(60'000, 7'000);
+    sim.auditLevel = paranoid ? AuditLevel::Paranoid : AuditLevel::Off;
+    sim.cores = run == PinRun::FourCores ? 4 : 1;
+    const std::string base = std::string(::testing::TempDir()) +
+                             "/rampage_pin_" + std::to_string(system) +
+                             (paranoid ? "_paranoid" : "_off");
+    if (run == PinRun::OneCoreTraced) {
+        sim.traceOutBase = base;
+        sim.statsIntervalRefs = 5'000;
+        sim.intervalOutBase = base;
+    }
+    SimResult result = simulateSystem(pinSystem(system), sim);
+    if (run == PinRun::OneCoreTraced) {
+        ASSERT_NE(result.stats.find("sim.trace.events"), nullptr);
+        std::remove(result.traceFile.c_str());
+        std::remove(result.intervalFile.c_str());
+    }
+    const std::uint64_t got = snapshotHash(result);
+    char hex[24];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(got));
+    EXPECT_EQ(got, pinned[system][static_cast<int>(run)][paranoid])
+        << result.systemName << " hashed " << hex;
+}
+
+std::string
+pinName(const ::testing::TestParamInfo<SnapshotPin::ParamType> &info)
+{
+    static const char *const systems[] = {"baseline128", "twoWay128",
+                                          "rampage1k", "rampageSom1k"};
+    static const char *const runs[] = {"cores1", "cores4",
+                                       "cores1Traced"};
+    return std::string(systems[std::get<0>(info.param)]) + "_" +
+           runs[static_cast<int>(std::get<1>(info.param))] + "_" +
+           (std::get<2>(info.param) ? "paranoid" : "auditOff");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SystemsCoresAudit, SnapshotPin,
+    ::testing::Combine(::testing::Range(0, 4),
+                       ::testing::Values(PinRun::OneCore,
+                                         PinRun::FourCores,
+                                         PinRun::OneCoreTraced),
+                       ::testing::Bool()),
+    pinName);
 
 } // namespace
 } // namespace rampage
