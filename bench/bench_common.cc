@@ -7,10 +7,7 @@
 #include <cstring>
 #include <fstream>
 
-#include "core/audit.hh"
 #include "core/cost_model.hh"
-#include "core/fault_injection.hh"
-#include "obs/obs_config.hh"
 #include "obs/phase_profiler.hh"
 #include "util/debug.hh"
 #include "util/error.hh"
@@ -129,56 +126,22 @@ benchMain(int argc, char **argv, const std::function<int()> &body)
         benchReport().name = baseName(argc > 0 ? argv[0] : nullptr);
         for (int i = 1; i < argc; ++i) {
             std::string arg = argv[i];
-            if (arg == "--json" && i + 1 < argc) {
-                benchReport().path = argv[++i];
-            } else if (arg == "--debug" && i + 1 < argc) {
-                setDebugChannels(argv[++i]);
-            } else if (arg == "--audit" && i + 1 < argc) {
-                setAuditLevelOverride(parseAuditLevel(argv[++i]));
-            } else if (arg == "--inject-fault" && i + 1 < argc) {
-                setFaultPlanOverride(argv[++i]);
-            } else if (arg == "--jobs" && i + 1 < argc) {
-                setJobsOverride(parseJobs(argv[++i]));
-            } else if (arg == "--cores" && i + 1 < argc) {
-                setCoresOverride(parseCores(argv[++i]));
-            } else if (arg == "--point-deadline" && i + 1 < argc) {
-                setPointDeadlineOverride(
-                    parsePointDeadline(argv[++i]));
-            } else if (arg == "--retries" && i + 1 < argc) {
-                setRetriesOverride(
-                    static_cast<int>(parseRetries(argv[++i])));
-            } else if (arg == "--isolate") {
-                setIsolateOverride(1);
-            } else if (arg == "--trace-out" && i + 1 < argc) {
-                setTraceOutOverride(argv[++i]);
-            } else if (arg == "--stats-interval" && i + 1 < argc) {
-                setStatsIntervalOverride(
-                    parseStatsInterval(argv[++i]));
+            const RunSettingRow *row = findRunFlag(arg);
+            bool switch_flag = row && row->hint.empty();
+            if (row && (switch_flag || i + 1 < argc)) {
+                std::string value = switch_flag ? "1" : argv[++i];
+                applyRunFlag(arg, value);
+                if (arg == "--json")
+                    benchReport().path = value;
             } else if (arg == "--stats-filter" && i + 1 < argc) {
                 benchReport().statsFilter = argv[++i];
             } else {
                 throw ConfigError(
-                    "unknown argument '%s'\nusage: %s [--json <path>] "
-                    "[--debug <%s|all>] "
-                    "[--audit <off|boundaries|paranoid>] "
-                    "[--inject-fault <kind[:seed]>] "
-                    "[--jobs <n>] [--cores <n>] "
-                    "[--point-deadline <seconds>] "
-                    "[--retries <n>] [--isolate] "
-                    "[--trace-out <base>] [--stats-interval <refs>] "
+                    "unknown argument '%s'\nusage: %s %s "
                     "[--stats-filter <glob>]",
                     arg.c_str(), benchReport().name.c_str(),
-                    debugChannelList().c_str());
+                    runFlagUsage().c_str());
             }
-        }
-        if (!benchReport().path.empty()) {
-            // Interval files with tracing off land next to the JSON
-            // report: "out/fig.json" yields "out/fig.<point>....".
-            std::string base = benchReport().path;
-            if (base.size() > 5 &&
-                base.compare(base.size() - 5, 5, ".json") == 0)
-                base.resize(base.size() - 5);
-            setObsFileBaseOverride(base);
         }
         int status = body();
         if (status == 0)

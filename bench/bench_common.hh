@@ -23,35 +23,14 @@ namespace rampage
 {
 
 /**
- * CLI entry point shared by every bench: parses the common flags,
- * runs `body` under cliMain() (typed errors map to fatal/panic with a
- * debug-ring post-mortem), and — when --json was given — writes the
- * machine-readable report on success.
- *
- * Flags:
- *   --json <path>          write results + full stats dumps as JSON
- *   --debug <channels>     enable RAMPAGE_DPRINTF channels (Debug builds)
- *   --audit <level>        model-integrity audits: off | boundaries |
- *                          paranoid (overrides RAMPAGE_AUDIT)
- *   --inject-fault <spec>  corrupt model state ("kind[:seed]", see
- *                          src/core/fault_injection.hh; overrides
- *                          RAMPAGE_INJECT_FAULT) to prove the audits
- *                          fire — an audited run then exits with
- *                          status 2 and a debug-ring post-mortem
- *   --jobs <n>             SweepRunner worker threads for the bench's
- *                          sweeps (overrides RAMPAGE_JOBS; default 1)
- *   --cores <n>            CPU cores per simulated hierarchy
- *                          (overrides RAMPAGE_CORES; default: the
- *                          hierarchy config's own setting, i.e. 1)
- *   --trace-out <base>     write a Chrome-trace JSON timeline per
- *                          simulation run, named <base>.<point>.trace.json
- *                          (overrides RAMPAGE_TRACE_OUT)
- *   --stats-interval <n>   sample the stats registry every n benchmark
- *                          references into <base>.<point>.intervals.jsonl
- *                          (overrides RAMPAGE_STATS_INTERVAL)
- *   --stats-filter <glob>  restrict the per-result "stats" dumps in the
- *                          JSON report to entries matching the glob
- *                          ('*' and '?'), e.g. 'dram.*'
+ * CLI entry point shared by every bench: records the run-setting
+ * flags (the flag rows of core/run_settings.hh; README.md lists them
+ * with their variables and defaults), runs `body` under cliMain()
+ * (typed errors map to fatal/panic with a debug-ring post-mortem),
+ * and — when --json <path> was given — writes the machine-readable
+ * report on success.  --stats-filter <glob>
+ * restricts the report's per-result "stats" dumps to matching
+ * entries ('*' and '?'), e.g. 'dram.*'.
  *
  * The human-readable table on stdout is unchanged byte-for-byte; all
  * telemetry goes to stderr or the JSON file.

@@ -27,41 +27,16 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "check/fuzz_driver.hh"
+#include "core/run_settings.hh"
 #include "util/error.hh"
 
 using namespace rampage;
 
 namespace
 {
-
-std::uint64_t
-parseCount(const std::string &text, const char *flag)
-{
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0')
-        throw ConfigError("%s: invalid count '%s'", flag,
-                          text.c_str());
-    return value;
-}
-
-double
-parseSeconds(const std::string &text, const char *flag)
-{
-    char *end = nullptr;
-    errno = 0;
-    double value = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == text.c_str() || *end != '\0' ||
-        value < 0)
-        throw ConfigError("%s: invalid seconds '%s'", flag,
-                          text.c_str());
-    return value;
-}
 
 int
 runCampaign(const FuzzOptions &options)
@@ -125,15 +100,15 @@ main(int argc, char **argv)
             if (arg == "--fuzz") {
                 // campaign mode (the default); nothing to record
             } else if (arg == "--fuzz-seed") {
-                options.seed = parseCount(need_value(i, "--fuzz-seed"),
-                                          "--fuzz-seed");
+                options.seed = parseUnsigned(
+                    "--fuzz-seed", need_value(i, "--fuzz-seed"));
             } else if (arg == "--fuzz-points") {
-                options.points = parseCount(
-                    need_value(i, "--fuzz-points"), "--fuzz-points");
+                options.points = parseUnsigned(
+                    "--fuzz-points", need_value(i, "--fuzz-points"));
             } else if (arg == "--fuzz-budget-seconds") {
                 options.budgetSeconds = parseSeconds(
-                    need_value(i, "--fuzz-budget-seconds"),
-                    "--fuzz-budget-seconds");
+                    "--fuzz-budget-seconds",
+                    need_value(i, "--fuzz-budget-seconds"));
             } else if (arg == "--fuzz-corpus") {
                 options.corpusDir = need_value(i, "--fuzz-corpus");
             } else if (arg == "--fuzz-out") {

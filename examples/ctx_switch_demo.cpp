@@ -12,7 +12,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/sweep.hh"
 #include "dram/rambus.hh"
@@ -27,8 +26,11 @@ runTool(int argc, char **argv)
 {
     std::uint64_t page = argc > 1 ? parseByteSize(argv[1]) : 4096;
     SimConfig sim = defaultSimConfig(true);
-    if (argc > 2)
-        sim.maxRefs = std::strtoull(argv[2], nullptr, 10);
+    if (argc > 2) {
+        sim = armedSimConfig(parsePositive("refs", argv[2]),
+                             sim.quantumRefs);
+        sim.switchOnMiss = true;
+    }
 
     DirectRambus rambus;
     Tick transfer = rambus.readPs(page);

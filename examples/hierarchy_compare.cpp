@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/cost_model.hh"
 #include "core/sweep.hh"
@@ -40,7 +39,8 @@ runTool(int argc, char **argv)
 {
     SimConfig sim = defaultSimConfig();
     if (argc > 1)
-        sim.maxRefs = std::strtoull(argv[1], nullptr, 10);
+        sim = armedSimConfig(parsePositive("refs", argv[1]),
+                             sim.quantumRefs);
 
     std::printf("Where should memory-system complexity live?\n");
     std::printf("Comparing DM L2 / 2-way L2 / RAMpage, %llu refs/run\n\n",

@@ -11,7 +11,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/cost_model.hh"
@@ -30,7 +29,7 @@ static int
 runTool(int argc, char **argv)
 {
     std::uint64_t refs =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2'000'000;
+        argc > 1 ? parsePositive("refs", argv[1]) : 2'000'000;
     constexpr std::uint64_t rate = 4'000'000'000ull;
 
     std::printf("Per-program best RAMpage page size (4GHz, %llu refs "

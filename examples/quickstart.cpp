@@ -30,7 +30,8 @@ runTool(int argc, char **argv)
     std::uint64_t block = argc > 2 ? parseByteSize(argv[2]) : 1024;
     SimConfig sim = defaultSimConfig();
     if (argc > 3)
-        sim.maxRefs = std::strtoull(argv[3], nullptr, 10);
+        sim = armedSimConfig(parsePositive("refs", argv[3]),
+                             sim.quantumRefs);
 
     std::printf("RAMpage quickstart: issue rate %s, block/page %s, "
                 "%llu refs, quantum %llu\n\n",

@@ -13,10 +13,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "core/run_settings.hh"
 #include "stats/histogram.hh"
 #include "trace/benchmarks.hh"
 #include "trace/file_format.hh"
@@ -35,7 +35,7 @@ cmdGen(int argc, char **argv)
     if (argc < 5)
         fatal("usage: trace_tools gen <benchmark> <refs> <out> [--din]");
     const ProgramProfile &profile = benchmarkProfile(argv[2]);
-    std::uint64_t refs = std::strtoull(argv[3], nullptr, 10);
+    std::uint64_t refs = parsePositive("refs", argv[3]);
     bool din = argc > 5 && std::strcmp(argv[5], "--din") == 0;
 
     SyntheticProgram prog(profile, 0);

@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/conventional.hh"
@@ -26,7 +25,7 @@ static int
 runTool(int argc, char **argv)
 {
     std::uint64_t refs =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2'000'000;
+        argc > 1 ? parsePositive("refs", argv[1]) : 2'000'000;
     std::uint64_t block = argc > 2 ? parseByteSize(argv[2]) : 128;
 
     std::printf("per-program behaviour, baseline hierarchy, %s L2 "

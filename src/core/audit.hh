@@ -51,19 +51,6 @@ const char *auditLevelName(AuditLevel level);
 AuditLevel parseAuditLevel(const std::string &spec);
 
 /**
- * Programmatic override (the benches' --audit flag); takes precedence
- * over the RAMPAGE_AUDIT environment variable.
- */
-void setAuditLevelOverride(AuditLevel level);
-
-/**
- * The level runs should audit at: the programmatic override if set,
- * else RAMPAGE_AUDIT (lenient: an unknown value warns and audits at
- * Boundaries rather than silently disabling), else Off.
- */
-AuditLevel resolveAuditLevel();
-
-/**
  * Drives model-integrity audits over a hierarchy (and, for
  * switch-on-miss runs, the scheduler).  Owned by the Simulator; one
  * Auditor per run accumulates run-level audit counters.

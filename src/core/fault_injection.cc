@@ -1,10 +1,10 @@
 #include "core/fault_injection.hh"
 
-#include <cstdlib>
 #include <vector>
 
 #include "core/conventional.hh"
 #include "core/paged.hh"
+#include "core/run_settings.hh"
 #include "os/scheduler.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
@@ -39,9 +39,6 @@ constexpr FaultName faultNames[] = {
     {"stale-private-copy", ModelFault::StalePrivateCopy},
 };
 
-bool haveOverride = false;
-std::string overrideSpec;
-
 struct SweepFaultName
 {
     const char *name;
@@ -54,9 +51,6 @@ constexpr SweepFaultName sweepFaultNames[] = {
     {"crash", SweepFault::Crash},
     {"torn-manifest-line", SweepFault::TornManifestLine},
 };
-
-bool haveSweepOverride = false;
-std::string sweepOverrideSpec;
 
 /**
  * Tag-space XOR whose rebuilt address lands far above every address
@@ -108,14 +102,13 @@ parseFaultPlan(const std::string &spec)
     if (colon != std::string::npos) {
         kind = spec.substr(0, colon);
         std::string seed_text = spec.substr(colon + 1);
-        char *end = nullptr;
-        unsigned long long seed =
-            std::strtoull(seed_text.c_str(), &end, 10);
-        if (seed_text.empty() || end == nullptr || *end != '\0')
+        try {
+            plan.seed = parseUnsigned("fault seed", seed_text);
+        } catch (const ConfigError &) {
             throw ConfigError(
                 "bad fault seed '%s' in spec '%s' (want kind[:seed])",
                 seed_text.c_str(), spec.c_str());
-        plan.seed = seed;
+        }
     }
 
     for (const FaultName &entry : faultNames) {
@@ -130,24 +123,6 @@ parseFaultPlan(const std::string &spec)
         "dir-alias, var-owner-drop, sched-block, skew-cycles, "
         "trans-cache-stale or stale-private-copy)",
         kind.c_str());
-}
-
-void
-setFaultPlanOverride(const std::string &spec)
-{
-    parseFaultPlan(spec); // validate eagerly: bad specs fail at the CLI
-    haveOverride = true;
-    overrideSpec = spec;
-}
-
-std::string
-resolveFaultPlanSpec()
-{
-    if (haveOverride)
-        return overrideSpec;
-    if (const char *env = std::getenv("RAMPAGE_INJECT_FAULT"))
-        return env;
-    return "";
 }
 
 const char *
@@ -183,24 +158,6 @@ parseSweepFaultPlan(const std::string &spec)
         "unknown sweep fault '%s' (try hang, crash or "
         "torn-manifest-line, optionally @<point-id>)",
         kind.c_str());
-}
-
-void
-setSweepFaultOverride(const std::string &spec)
-{
-    parseSweepFaultPlan(spec); // validate eagerly, like model faults
-    haveSweepOverride = true;
-    sweepOverrideSpec = spec;
-}
-
-std::string
-resolveSweepFaultSpec()
-{
-    if (haveSweepOverride)
-        return sweepOverrideSpec;
-    if (const char *env = std::getenv("RAMPAGE_SWEEP_FAULT"))
-        return env;
-    return "";
 }
 
 bool

@@ -61,15 +61,6 @@ struct FaultPlan
 FaultPlan parseFaultPlan(const std::string &spec);
 
 /**
- * Process-wide fault-plan override (the `--inject-fault` bench flag);
- * takes precedence over the RAMPAGE_INJECT_FAULT environment variable.
- */
-void setFaultPlanOverride(const std::string &spec);
-
-/** Resolve the effective fault spec: override, else env, else "". */
-std::string resolveFaultPlanSpec();
-
-/**
  * Sweep-execution faults: deterministic failure modes of the *runner*
  * rather than the model, used to prove SweepRunner's fault isolation
  * (deadlines, process isolation, crash-consistent checkpointing).
@@ -109,15 +100,6 @@ struct SweepFaultPlan
  * @throws ConfigError on an unknown kind.
  */
 SweepFaultPlan parseSweepFaultPlan(const std::string &spec);
-
-/**
- * Process-wide sweep-fault override; takes precedence over the
- * RAMPAGE_SWEEP_FAULT environment variable.
- */
-void setSweepFaultOverride(const std::string &spec);
-
-/** Resolve the effective sweep-fault spec: override, else env, else "". */
-std::string resolveSweepFaultSpec();
 
 /**
  * Applies a fault plan to live model state, once.  Dispatches on the

@@ -71,7 +71,7 @@ struct SimConfig
      * simulated-time event tracing; the run writes Chrome trace-event
      * JSON to obsRunFilePath(traceOutBase, ".trace.json") — per-point
      * file names under a sweep.  defaultSimConfig()/armedSimConfig()
-     * fill these from the CLI/environment via resolveObsSettings().
+     * fill these from runSettings() (core/run_settings.hh).
      */
     std::string traceOutBase;
     /** Benchmark refs per interval-stats epoch; 0 disables. */

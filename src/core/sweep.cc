@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -40,240 +38,16 @@
 namespace rampage
 {
 
-namespace
-{
-
-const char *
-envOrNull(const char *name)
-{
-    const char *value = std::getenv(name);
-    return (value && *value) ? value : nullptr;
-}
-
-/**
- * strtoull with the validation it does not do on its own: rejects
- * signs and leading whitespace ("-5" silently wraps, " 24" silently
- * skips), trailing junk ("24x" silently truncates to 24), text with
- * no digits at all ("abc" silently parses as 0) and out-of-range
- * values, naming `origin` (the environment variable or flag the text
- * came from) and the offending text in the ConfigError.
- */
-std::uint64_t
-parseCount(const char *origin, const char *text)
-{
-    if (!std::isdigit(static_cast<unsigned char>(text[0])))
-        throw ConfigError("%s: expected an unsigned integer, got '%s'",
-                          origin, text);
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (errno == ERANGE)
-        throw ConfigError("%s: value '%s' is out of range", origin,
-                          text);
-    if (end == text || *end != '\0')
-        throw ConfigError(
-            "%s: trailing junk after the number in '%s'", origin, text);
-    return value;
-}
-
-unsigned jobsOverride = 0;
-unsigned coresOverride = 0;
-double pointDeadlineOverride = 0;
-int retriesOverride = -1;
-int isolateOverride = -1;
-
-} // namespace
-
 ExperimentScale
 experimentScale()
 {
-    ExperimentScale scale;
-    if (envOrNull("RAMPAGE_FULL")) {
-        // Paper scale (§4.2): 1.1 G references, 500 K-reference slices.
-        scale.refs = 1'100'000'000;
-        scale.quantumRefs = 500'000;
-    }
-    if (const char *refs = envOrNull("RAMPAGE_REFS")) {
-        scale.refs = parseCount("RAMPAGE_REFS", refs);
-        if (scale.refs == 0)
-            throw ConfigError("RAMPAGE_REFS must be positive");
-    }
-    if (const char *quantum = envOrNull("RAMPAGE_QUANTUM")) {
-        scale.quantumRefs = parseCount("RAMPAGE_QUANTUM", quantum);
-        if (scale.quantumRefs == 0)
-            throw ConfigError("RAMPAGE_QUANTUM must be positive");
-    }
-    return scale;
-}
-
-unsigned
-parseJobs(const std::string &text, const char *origin)
-{
-    std::uint64_t jobs = parseCount(origin, text.c_str());
-    if (jobs == 0 || jobs > maxSweepJobs)
-        throw ConfigError("%s: worker count must be in [1, %u], got '%s'",
-                          origin, maxSweepJobs, text.c_str());
-    return static_cast<unsigned>(jobs);
-}
-
-unsigned
-resolveJobs()
-{
-    if (jobsOverride)
-        return jobsOverride;
-    if (const char *env = envOrNull("RAMPAGE_JOBS"))
-        return parseJobs(env, "RAMPAGE_JOBS");
-    return 1;
-}
-
-void
-setJobsOverride(unsigned jobs)
-{
-    jobsOverride = jobs;
-}
-
-unsigned
-parseCores(const std::string &text, const char *origin)
-{
-    std::uint64_t cores = parseCount(origin, text.c_str());
-    if (cores == 0 || cores > maxCores)
-        throw ConfigError("%s: core count must be in [1, %u], got '%s'",
-                          origin, maxCores, text.c_str());
-    return static_cast<unsigned>(cores);
-}
-
-unsigned
-resolveCores()
-{
-    if (coresOverride)
-        return coresOverride;
-    if (const char *env = envOrNull("RAMPAGE_CORES"))
-        return parseCores(env, "RAMPAGE_CORES");
-    return 0;
-}
-
-void
-setCoresOverride(unsigned cores)
-{
-    coresOverride = cores;
-}
-
-double
-parsePointDeadline(const std::string &text, const char *origin)
-{
-    const char *cstr = text.c_str();
-    if (text.empty() ||
-        !(std::isdigit(static_cast<unsigned char>(cstr[0])) ||
-          cstr[0] == '.'))
-        throw ConfigError(
-            "%s: expected a positive number of seconds, got '%s'",
-            origin, cstr);
-    errno = 0;
-    char *end = nullptr;
-    double value = std::strtod(cstr, &end);
-    if (end == cstr || *end != '\0')
-        throw ConfigError(
-            "%s: trailing junk after the number in '%s'", origin, cstr);
-    if (errno == ERANGE || !std::isfinite(value) || value <= 0)
-        throw ConfigError(
-            "%s: deadline must be a positive finite number of "
-            "seconds, got '%s'",
-            origin, cstr);
-    return value;
-}
-
-double
-resolvePointDeadline()
-{
-    if (pointDeadlineOverride > 0)
-        return pointDeadlineOverride;
-    if (const char *env = envOrNull("RAMPAGE_DEADLINE"))
-        return parsePointDeadline(env, "RAMPAGE_DEADLINE");
-    return 0;
-}
-
-void
-setPointDeadlineOverride(double seconds)
-{
-    pointDeadlineOverride = seconds;
-}
-
-unsigned
-parseRetries(const std::string &text, const char *origin)
-{
-    std::uint64_t retries = parseCount(origin, text.c_str());
-    if (retries > maxSweepRetries)
-        throw ConfigError(
-            "%s: retry count must be in [0, %u], got '%s'", origin,
-            maxSweepRetries, text.c_str());
-    return static_cast<unsigned>(retries);
-}
-
-unsigned
-resolveRetries()
-{
-    if (retriesOverride >= 0)
-        return static_cast<unsigned>(retriesOverride);
-    if (const char *env = envOrNull("RAMPAGE_RETRIES"))
-        return parseRetries(env, "RAMPAGE_RETRIES");
-    return 0;
-}
-
-void
-setRetriesOverride(int retries)
-{
-    retriesOverride = retries;
-}
-
-bool
-resolveIsolate()
-{
-    if (isolateOverride >= 0)
-        return isolateOverride != 0;
-    if (const char *env = envOrNull("RAMPAGE_ISOLATE")) {
-        std::string text(env);
-        if (text == "1")
-            return true;
-        if (text == "0")
-            return false;
-        throw ConfigError("RAMPAGE_ISOLATE: expected 0 or 1, got '%s'",
-                          env);
-    }
-    return false;
-}
-
-void
-setIsolateOverride(int isolate)
-{
-    isolateOverride = isolate;
+    return runSettings().scale;
 }
 
 std::vector<std::uint64_t>
 issueRates()
 {
-    if (const char *env = envOrNull("RAMPAGE_RATES")) {
-        std::vector<std::uint64_t> rates;
-        std::string text(env);
-        std::size_t pos = 0;
-        while (pos < text.size()) {
-            std::size_t comma = text.find(',', pos);
-            if (comma == std::string::npos)
-                comma = text.size();
-            try {
-                rates.push_back(
-                    parseFrequency(text.substr(pos, comma - pos)));
-            } catch (const ConfigError &e) {
-                throw ConfigError("RAMPAGE_RATES: %s", e.what());
-            }
-            pos = comma + 1;
-        }
-        if (rates.empty())
-            throw ConfigError("RAMPAGE_RATES is empty");
-        return rates;
-    }
-    // The paper sweeps 200 MHz to 4 GHz (§4.3).
-    return {200'000'000ull, 500'000'000ull, 1'000'000'000ull,
-            2'000'000'000ull, 4'000'000'000ull};
+    return runSettings().rates;
 }
 
 std::vector<std::uint64_t>
@@ -321,43 +95,32 @@ rampageConfig(std::uint64_t issue_hz, std::uint64_t page_bytes,
 }
 
 SimConfig
-defaultSimConfig(bool switch_on_miss)
+armedSimConfig(std::uint64_t refs, std::uint64_t quantum_refs)
 {
-    ExperimentScale scale = experimentScale();
+    RunSettings run = runSettings();
     SimConfig sim;
-    sim.maxRefs = scale.refs;
-    sim.quantumRefs = scale.quantumRefs;
-    sim.switchOnMiss = switch_on_miss;
+    sim.maxRefs = refs;
+    sim.quantumRefs = quantum_refs;
     // Handler overhead is tens of percent at worst (Fig 4), so a
     // budget of 8x the benchmark references can only trip on a
     // genuine runaway point.
-    sim.watchdogRefBudget = scale.refs * 8 + 1'000'000;
-    sim.auditLevel = resolveAuditLevel();
-    sim.faultPlan = resolveFaultPlanSpec();
-    sim.cores = resolveCores();
-    ObsSettings obs = resolveObsSettings();
-    sim.traceOutBase = obs.traceOutBase;
-    sim.statsIntervalRefs = obs.statsIntervalRefs;
-    sim.intervalOutBase = obs.intervalOutBase;
-    sim.traceRingCapacity = obs.traceRingCapacity;
+    sim.watchdogRefBudget = refs * 8 + 1'000'000;
+    sim.auditLevel = run.auditLevel;
+    sim.faultPlan = run.faultPlan;
+    sim.cores = run.cores;
+    sim.traceOutBase = run.obs.traceOutBase;
+    sim.statsIntervalRefs = run.obs.statsIntervalRefs;
+    sim.intervalOutBase = run.obs.intervalOutBase;
+    sim.traceRingCapacity = run.obs.traceRingCapacity;
     return sim;
 }
 
 SimConfig
-armedSimConfig(std::uint64_t refs, std::uint64_t quantum_refs)
+defaultSimConfig(bool switch_on_miss)
 {
-    SimConfig sim;
-    sim.maxRefs = refs;
-    sim.quantumRefs = quantum_refs;
-    sim.watchdogRefBudget = refs * 8 + 1'000'000;
-    sim.auditLevel = resolveAuditLevel();
-    sim.faultPlan = resolveFaultPlanSpec();
-    sim.cores = resolveCores();
-    ObsSettings obs = resolveObsSettings();
-    sim.traceOutBase = obs.traceOutBase;
-    sim.statsIntervalRefs = obs.statsIntervalRefs;
-    sim.intervalOutBase = obs.intervalOutBase;
-    sim.traceRingCapacity = obs.traceRingCapacity;
+    ExperimentScale scale = experimentScale();
+    SimConfig sim = armedSimConfig(scale.refs, scale.quantumRefs);
+    sim.switchOnMiss = switch_on_miss;
     return sim;
 }
 
@@ -616,7 +379,8 @@ SweepRunner::loadManifest() const
 }
 
 void
-SweepRunner::appendManifest(const PointOutcome &outcome) const
+SweepRunner::appendManifest(const PointOutcome &outcome,
+                            const SweepFaultPlan &fault) const
 {
     if (opts.checkpointPath.empty())
         return;
@@ -679,7 +443,6 @@ SweepRunner::appendManifest(const PointOutcome &outcome) const
 
     // Fault injection: tear this point's append mid-line, exactly as
     // a SIGKILL between write() and completion would.
-    SweepFaultPlan fault = parseSweepFaultPlan(resolveSweepFaultSpec());
     if (fault.kind == SweepFault::TornManifestLine &&
         fault.matches(outcome.id))
         data.resize(data.size() - body.size() / 2 - 1);
@@ -749,18 +512,19 @@ installFatalSignalRelay()
 SweepRunner::Resolved
 SweepRunner::resolveOptions() const
 {
+    RunSettings run = runSettings();
     Resolved how;
-    how.jobs = opts.jobs ? opts.jobs : resolveJobs();
+    how.jobs = opts.jobs ? opts.jobs : run.jobs;
     if (opts.pointDeadlineSeconds > 0)
         how.deadlineSeconds = opts.pointDeadlineSeconds;
     else if (opts.pointDeadlineSeconds == 0)
-        how.deadlineSeconds = resolvePointDeadline();
+        how.deadlineSeconds = run.deadlineSeconds;
     how.retries = opts.maxRetries >= 0
                       ? static_cast<unsigned>(opts.maxRetries)
-                      : resolveRetries();
+                      : run.retries;
     how.backoffSeconds = opts.retryBackoffSeconds;
-    how.isolate = opts.isolate >= 0 ? opts.isolate != 0
-                                    : resolveIsolate();
+    how.isolate = opts.isolate >= 0 ? opts.isolate != 0 : run.isolate;
+    how.fault = run.sweepFault;
     return how;
 }
 
@@ -781,7 +545,7 @@ SweepRunner::runLocalAttempt(const Point &point,
     // with --jobs and --isolate.
     phaseThreadReset();
     ObsPointLabelScope obs_label(point.id);
-    SweepFaultPlan fault = parseSweepFaultPlan(resolveSweepFaultSpec());
+    const SweepFaultPlan &fault = how.fault;
     auto started = std::chrono::steady_clock::now();
     try {
         DeadlineGuard deadline(how.deadlineSeconds);
@@ -1051,7 +815,7 @@ SweepRunner::executePoint(const Point &point, const Resolved &how) const
         auto started = std::chrono::steady_clock::now();
         {
             std::lock_guard<std::mutex> lock(manifestMutex);
-            appendManifest(outcome);
+            appendManifest(outcome, how.fault);
         }
         double seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - started)

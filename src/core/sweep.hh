@@ -2,26 +2,14 @@
  * @file
  * Experiment scaffolding shared by the benches, examples and
  * integration tests: canonical system configurations (paper §4),
- * environment-controlled run scale, one-call runners that build a
- * hierarchy plus the Table 2 workload and simulate it, and the
- * fault-tolerant SweepRunner that executes whole campaigns point by
- * point with per-point outcomes and checkpoint/resume.
+ * one-call runners that build a hierarchy plus the Table 2 workload
+ * and simulate it, and the fault-tolerant SweepRunner that executes
+ * whole campaigns point by point with per-point outcomes and
+ * checkpoint/resume.
  *
- * Scale knobs (environment variables):
- *  - RAMPAGE_REFS=<n>     benchmark references per run (default 24 M)
- *  - RAMPAGE_QUANTUM=<n>  references per time slice (default 120 K)
- *  - RAMPAGE_FULL=1       paper scale: 1.1 G references, 500 K quantum
- *  - RAMPAGE_RATES=a,b,c  issue rates (default 200MHz,500MHz,1GHz,
- *                         2GHz,4GHz)
- *  - RAMPAGE_JOBS=<n>     SweepRunner worker threads (default 1)
- *  - RAMPAGE_CORES=<n>    CPU cores per simulated system (default:
- *                         the hierarchy config's own setting, i.e. 1)
- *  - RAMPAGE_DEADLINE=<s> per-point wall-clock deadline in seconds
- *                         (default: none)
- *  - RAMPAGE_RETRIES=<n>  retries for transiently-failed points
- *                         (default 0)
- *  - RAMPAGE_ISOLATE=1    fork each sweep point into a child process
- *                         (default 0)
+ * The run knobs (scale, rates, jobs, cores, deadline, retries,
+ * isolation, audits, faults, observability) come from one table:
+ * core/run_settings.hh, listed with defaults in README.md.
  */
 
 #ifndef RAMPAGE_CORE_SWEEP_HH
@@ -37,6 +25,7 @@
 
 #include "core/config.hh"
 #include "core/factory.hh"
+#include "core/run_settings.hh"
 #include "core/simulator.hh"
 #include "obs/phase_profiler.hh"
 #include "util/error.hh"
@@ -44,108 +33,11 @@
 namespace rampage
 {
 
-/** Run-scale parameters resolved from the environment. */
-struct ExperimentScale
-{
-    std::uint64_t refs = 24'000'000;
-    std::uint64_t quantumRefs = 120'000;
-};
-
-/** Resolve the run scale from the environment (see file comment). */
+/** The run scale (runSettings().scale). */
 ExperimentScale experimentScale();
 
-/** Issue rates to sweep (RAMPAGE_RATES or the paper-like default). */
+/** Issue rates to sweep (runSettings().rates). */
 std::vector<std::uint64_t> issueRates();
-
-/** Largest worker-pool size resolveJobs()/parseJobs() accept. */
-constexpr unsigned maxSweepJobs = 256;
-
-/**
- * Parse a worker count ("4") with full validation: rejects empty or
- * non-numeric text, signs, trailing junk ("4x"), zero and anything
- * above maxSweepJobs, naming `origin` (the flag or environment
- * variable the text came from) in the ConfigError.
- */
-unsigned parseJobs(const std::string &text, const char *origin = "--jobs");
-
-/**
- * SweepRunner worker threads to use when Options::jobs is 0: the
- * setJobsOverride() value if one was set (the benches' --jobs flag),
- * else RAMPAGE_JOBS, else 1.
- */
-unsigned resolveJobs();
-
-/** CLI override for resolveJobs(); 0 clears the override (tests). */
-void setJobsOverride(unsigned jobs);
-
-/**
- * Parse a simulated-core count ("4") with the same strict validation
- * as parseJobs(), capped at maxCores (core/core_frontend.hh), naming
- * `origin` in the ConfigError.
- */
-unsigned parseCores(const std::string &text,
-                    const char *origin = "--cores");
-
-/**
- * Simulated CPU cores to build hierarchies with when SimConfig::cores
- * is 0: the setCoresOverride() value (the benches' --cores flag), else
- * RAMPAGE_CORES, else 0 — meaning "leave the hierarchy config's own
- * CommonConfig::cores untouched".
- */
-unsigned resolveCores();
-
-/** CLI override for resolveCores(); 0 clears the override (tests). */
-void setCoresOverride(unsigned cores);
-
-/** Largest retry count resolveRetries()/parseRetries() accept. */
-constexpr unsigned maxSweepRetries = 16;
-
-/**
- * Parse a per-point wall-clock deadline ("2.5") with the same strict
- * validation as parseJobs(): rejects non-numeric text, signs,
- * trailing junk, zero and non-finite values, naming `origin` in the
- * ConfigError.
- */
-double parsePointDeadline(const std::string &text,
-                          const char *origin = "--point-deadline");
-
-/**
- * Per-point deadline seconds when Options::pointDeadlineSeconds is 0:
- * the setPointDeadlineOverride() value (the benches'
- * --point-deadline flag), else RAMPAGE_DEADLINE, else 0 (disabled).
- */
-double resolvePointDeadline();
-
-/** CLI override for resolvePointDeadline(); 0 clears it (tests). */
-void setPointDeadlineOverride(double seconds);
-
-/**
- * Parse a retry count ("3"; 0 allowed) with strict validation,
- * capped at maxSweepRetries, naming `origin` in the ConfigError.
- */
-unsigned parseRetries(const std::string &text,
-                      const char *origin = "--retries");
-
-/**
- * Retries for transiently-failed points when Options::maxRetries is
- * negative: the setRetriesOverride() value, else RAMPAGE_RETRIES,
- * else 0.
- */
-unsigned resolveRetries();
-
-/** CLI override for resolveRetries(); negative clears it (tests). */
-void setRetriesOverride(int retries);
-
-/**
- * Whether points run in forked child processes when Options::isolate
- * is negative: the setIsolateOverride() value (the benches'
- * --isolate flag), else RAMPAGE_ISOLATE ("0"/"1", strictly parsed),
- * else false.
- */
-bool resolveIsolate();
-
-/** CLI override for resolveIsolate(); negative clears it (tests). */
-void setIsolateOverride(int isolate);
 
 /** The paper's block/page size sweep: 128 B ... 4 KB. */
 std::vector<std::uint64_t> blockSizeSweep();
@@ -167,19 +59,16 @@ RampageConfig rampageConfig(std::uint64_t issue_hz,
                             bool switch_on_miss = false);
 
 /**
- * SimConfig at the environment scale, with the runaway watchdog armed
- * and the audit level / fault plan resolved from their overrides and
- * environment variables (RAMPAGE_AUDIT, RAMPAGE_INJECT_FAULT).
- */
-SimConfig defaultSimConfig(bool switch_on_miss = false);
-
-/**
- * SimConfig for an explicit (refs, quantum) pair with the same
- * hardening as defaultSimConfig(): armed watchdog, resolved audit
- * level and fault plan.  Use this instead of building a raw SimConfig
- * whenever a bench or example picks its own scale.
+ * SimConfig for an explicit (refs, quantum) pair with the runaway
+ * watchdog armed and the audit level, fault plan, core count and
+ * observability settings taken from runSettings().  Use this instead
+ * of building a raw SimConfig whenever a bench or example picks its
+ * own scale.
  */
 SimConfig armedSimConfig(std::uint64_t refs, std::uint64_t quantum_refs);
+
+/** armedSimConfig() at the runSettings() scale. */
+SimConfig defaultSimConfig(bool switch_on_miss = false);
 
 /**
  * Build (via makeHierarchy()), run and report any system on the §4.2
@@ -396,15 +285,15 @@ class SweepRunner
         double heartbeatSeconds = 0;
         /**
          * Worker threads executing points concurrently; 1 runs the
-         * campaign serially, 0 (the default) resolves the count via
-         * resolveJobs() (--jobs override, then RAMPAGE_JOBS, then 1).
+         * campaign serially, 0 (the default) takes runSettings().jobs
+         * (--jobs, then RAMPAGE_JOBS, then 1).
          */
         unsigned jobs = 0;
         /**
          * Per-point wall-clock deadline in seconds; a point still
          * running at the deadline is cancelled cooperatively and
-         * recorded as TimedOut.  0 (the default) resolves via
-         * resolvePointDeadline() (--point-deadline, then
+         * recorded as TimedOut.  0 (the default) takes
+         * runSettings().deadlineSeconds (--point-deadline, then
          * RAMPAGE_DEADLINE, then disabled).  Negative disables
          * explicitly, overriding the environment.
          */
@@ -412,7 +301,7 @@ class SweepRunner
         /**
          * Re-executions allowed for a point that failed with a
          * transient (isRetryableCategory) error.  Negative (the
-         * default) resolves via resolveRetries() (--retries, then
+         * default) takes runSettings().retries (--retries, then
          * RAMPAGE_RETRIES, then 0).
          */
         int maxRetries = -1;
@@ -423,7 +312,7 @@ class SweepRunner
         double retryBackoffSeconds = 0.05;
         /**
          * Run each point in a forked child process (1), in-process
-         * (0), or resolve via resolveIsolate() (--isolate, then
+         * (0), or take runSettings().isolate (--isolate, then
          * RAMPAGE_ISOLATE, then in-process) when negative (the
          * default).
          */
@@ -451,7 +340,11 @@ class SweepRunner
         std::function<SimResult()> body;
     };
 
-    /** Effective knob values for one run() (resolved once, up front). */
+    /**
+     * Effective knob values for one run(), resolved once up front:
+     * the Options, with runSettings() filling the sentinels, plus
+     * the RAMPAGE_SWEEP_FAULT plan.
+     */
     struct Resolved
     {
         unsigned jobs = 1;
@@ -459,13 +352,15 @@ class SweepRunner
         unsigned retries = 0;
         double backoffSeconds = 0.05;
         bool isolate = false;
+        SweepFaultPlan fault;
     };
     Resolved resolveOptions() const;
 
     /** id -> checkpointed wall seconds from a previous campaign. */
     std::map<std::string, double> loadManifest() const;
     /** Caller must hold manifestMutex when workers are live. */
-    void appendManifest(const PointOutcome &outcome) const;
+    void appendManifest(const PointOutcome &outcome,
+                        const SweepFaultPlan &fault) const;
 
     /**
      * Run one point (worker context): retry loop around a local or

@@ -6,11 +6,8 @@
  *
  * Everything here is OFF by default and side-effect-free when off —
  * an un-instrumented run is byte-identical to a pre-obs build.  The
- * knobs mirror the sweep knobs' resolution order: an explicit CLI
- * override (the benches' --trace-out / --stats-interval flags,
- * installed via set*Override()), then the environment
- * (RAMPAGE_TRACE_OUT / RAMPAGE_STATS_INTERVAL / RAMPAGE_TRACE_RING,
- * strictly parsed), then disabled.
+ * knobs (--trace-out, --stats-interval, RAMPAGE_TRACE_RING, ...) are
+ * rows of the run-settings table, core/run_settings.hh.
  *
  * Output files are *per simulation run*: a sweep campaign with
  * tracing on produces one trace file and one interval file per point,
@@ -41,50 +38,13 @@ struct ObsSettings
     /** Benchmark refs per interval-stats epoch; 0 disables. */
     std::uint64_t statsIntervalRefs = 0;
     /**
-     * Interval-file base path.  Defaults to traceOutBase when tracing
-     * is on, else to the setObsFileBaseOverride() value (benchMain
-     * derives one from --json), else "rampage".
+     * Interval-file base path: traceOutBase when tracing is on, else
+     * the --json report path minus ".json", else "rampage".
      */
     std::string intervalOutBase;
     /** Trace-ring capacity in events (drops are counted beyond it). */
     std::size_t traceRingCapacity = defaultTraceRingCapacity;
 };
-
-/**
- * Resolve the observability knobs: CLI overrides first, then
- * RAMPAGE_TRACE_OUT / RAMPAGE_STATS_INTERVAL / RAMPAGE_TRACE_RING,
- * then off.  defaultSimConfig()/armedSimConfig() call this so every
- * bench and example picks the knobs up without new plumbing.
- */
-ObsSettings resolveObsSettings();
-
-/**
- * Parse an interval length in references ("50000") with the sweep
- * knobs' strict validation (no signs, no trailing junk, nonzero),
- * naming `origin` in the ConfigError.
- */
-std::uint64_t parseStatsInterval(const std::string &text,
-                                 const char *origin = "--stats-interval");
-
-/**
- * Parse a trace-ring capacity in events (nonzero) with the same
- * strict validation, naming `origin` in the ConfigError.
- */
-std::size_t parseTraceRingCapacity(const std::string &text,
-                                   const char *origin =
-                                       "RAMPAGE_TRACE_RING");
-
-/** CLI override for the trace base path; "" clears it (tests). */
-void setTraceOutOverride(const std::string &base);
-
-/** CLI override for the interval length; 0 clears it (tests). */
-void setStatsIntervalOverride(std::uint64_t refs);
-
-/**
- * Fallback base path for interval files when tracing is off (benches
- * derive it from the --json path); "" clears it.
- */
-void setObsFileBaseOverride(const std::string &base);
 
 /**
  * Label the calling thread's simulation runs for output-file naming

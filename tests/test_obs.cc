@@ -24,6 +24,7 @@
 #include "obs/obs_config.hh"
 #include "obs/phase_profiler.hh"
 #include "obs/trace_session.hh"
+#include "run_env.hh"
 #include "stats/histogram.hh"
 #include "stats/registry.hh"
 #include "trace/synthetic.hh"
@@ -250,12 +251,19 @@ TEST(ObsConfig, RunFilePathFallsBackToSequenceNumber)
 
 TEST(ObsConfig, StrictIntervalParsing)
 {
-    EXPECT_EQ(parseStatsInterval("50000"), 50'000u);
-    EXPECT_THROW(parseStatsInterval("0"), ConfigError);
-    EXPECT_THROW(parseStatsInterval("-3"), ConfigError);
-    EXPECT_THROW(parseStatsInterval("12junk"), ConfigError);
-    EXPECT_THROW(parseStatsInterval(""), ConfigError);
-    EXPECT_THROW(parseTraceRingCapacity("0"), ConfigError);
+    // The --stats-interval and RAMPAGE_TRACE_RING rows of the
+    // run-settings table.
+    EXPECT_EQ(settingsWithFlag("--stats-interval", "50000")
+                  .obs.statsIntervalRefs,
+              50'000u);
+    EXPECT_THROW(applyRunFlag("--stats-interval", "0"), ConfigError);
+    EXPECT_THROW(applyRunFlag("--stats-interval", "-3"), ConfigError);
+    EXPECT_THROW(applyRunFlag("--stats-interval", "12junk"),
+                 ConfigError);
+    EXPECT_THROW(applyRunFlag("--stats-interval", ""), ConfigError);
+    clearRunFlags();
+    ScopedEnv ring("RAMPAGE_TRACE_RING", "0");
+    EXPECT_THROW(runSettings(), ConfigError);
 }
 
 // --- simulation integration -----------------------------------------

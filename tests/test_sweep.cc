@@ -10,39 +10,13 @@
 #include <string>
 
 #include "core/sweep.hh"
+#include "run_env.hh"
 #include "util/error.hh"
 
 namespace rampage
 {
 namespace
 {
-
-/** RAII environment-variable override. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : varName(name)
-    {
-        const char *old = std::getenv(name);
-        hadOld = old != nullptr;
-        if (hadOld)
-            oldValue = old;
-        ::setenv(name, value, 1);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadOld)
-            ::setenv(varName.c_str(), oldValue.c_str(), 1);
-        else
-            ::unsetenv(varName.c_str());
-    }
-
-  private:
-    std::string varName;
-    std::string oldValue;
-    bool hadOld;
-};
 
 TEST(Sweep, DefaultScale)
 {
@@ -163,18 +137,21 @@ TEST(Sweep, RatesErrorNamesVariable)
 
 TEST(Sweep, ParseJobsValidates)
 {
-    EXPECT_EQ(parseJobs("1"), 1u);
-    EXPECT_EQ(parseJobs("4"), 4u);
-    EXPECT_EQ(parseJobs("256"), maxSweepJobs);
-    EXPECT_THROW(parseJobs("abc"), ConfigError);
-    EXPECT_THROW(parseJobs("4x"), ConfigError);
-    EXPECT_THROW(parseJobs("-2"), ConfigError);
-    EXPECT_THROW(parseJobs("0"), ConfigError);
-    EXPECT_THROW(parseJobs("257"), ConfigError);
-    EXPECT_THROW(parseJobs(""), ConfigError);
+    // The --jobs / RAMPAGE_JOBS row of the run-settings table.
+    EXPECT_EQ(settingsWithFlag("--jobs", "1").jobs, 1u);
+    EXPECT_EQ(settingsWithFlag("--jobs", "4").jobs, 4u);
+    EXPECT_EQ(settingsWithFlag("--jobs", "256").jobs, maxSweepJobs);
+    EXPECT_THROW(applyRunFlag("--jobs", "abc"), ConfigError);
+    EXPECT_THROW(applyRunFlag("--jobs", "4x"), ConfigError);
+    EXPECT_THROW(applyRunFlag("--jobs", "-2"), ConfigError);
+    EXPECT_THROW(applyRunFlag("--jobs", "0"), ConfigError);
+    EXPECT_THROW(applyRunFlag("--jobs", "257"), ConfigError);
+    EXPECT_THROW(applyRunFlag("--jobs", ""), ConfigError);
+    clearRunFlags();
+    ScopedEnv env("RAMPAGE_JOBS", "lots");
     try {
-        parseJobs("lots", "RAMPAGE_JOBS");
-        FAIL() << "parseJobs accepted 'lots'";
+        runSettings();
+        FAIL() << "RAMPAGE_JOBS=lots was accepted";
     } catch (const ConfigError &e) {
         EXPECT_NE(std::string(e.what()).find("RAMPAGE_JOBS"),
                   std::string::npos)
@@ -186,24 +163,23 @@ TEST(Sweep, ResolveJobsPrecedence)
 {
     // CI runs the suite with RAMPAGE_JOBS set; park it during the
     // precedence checks and let ScopedEnv put it back afterwards.
-    ScopedEnv outer("RAMPAGE_JOBS", "1");
-    setJobsOverride(0);
-    ::unsetenv("RAMPAGE_JOBS");
-    EXPECT_EQ(resolveJobs(), 1u); // serial default
+    ScopedEnv outer("RAMPAGE_JOBS", nullptr);
+    clearRunFlags();
+    EXPECT_EQ(runSettings().jobs, 1u); // serial default
 
     {
         ScopedEnv env("RAMPAGE_JOBS", "3");
-        EXPECT_EQ(resolveJobs(), 3u);
-        setJobsOverride(8); // the --jobs flag beats the environment
-        EXPECT_EQ(resolveJobs(), 8u);
-        setJobsOverride(0);
-        EXPECT_EQ(resolveJobs(), 3u);
+        EXPECT_EQ(runSettings().jobs, 3u);
+        applyRunFlag("--jobs", "8"); // the flag beats the environment
+        EXPECT_EQ(runSettings().jobs, 8u);
+        clearRunFlags();
+        EXPECT_EQ(runSettings().jobs, 3u);
     }
-    EXPECT_EQ(resolveJobs(), 1u);
+    EXPECT_EQ(runSettings().jobs, 1u);
 
     {
         ScopedEnv bad("RAMPAGE_JOBS", "4x");
-        EXPECT_THROW(resolveJobs(), ConfigError);
+        EXPECT_THROW(runSettings(), ConfigError);
     }
 }
 

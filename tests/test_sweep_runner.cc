@@ -23,6 +23,7 @@
 #include "core/audit.hh"
 #include "core/fault_injection.hh"
 #include "core/sweep.hh"
+#include "run_env.hh"
 #include "trace/corrupter.hh"
 #include "trace/file_format.hh"
 #include "util/debug.hh"
@@ -583,7 +584,7 @@ TEST_F(SweepRunnerTest, ParallelAuditedFaultMatchesSerial)
     }
 }
 
-// Options::jobs = 0 defers to resolveJobs() so the --jobs flag and
+// Options::jobs = 0 defers to runSettings().jobs so the --jobs flag and
 // RAMPAGE_JOBS reach embedders that never touch the option, and a
 // pool wider than the campaign is harmless.
 TEST_F(SweepRunnerTest, MoreWorkersThanPointsIsHarmless)
@@ -646,7 +647,7 @@ TEST_F(SweepRunnerTest, DeadlineCancelsRunawayPointCooperatively)
 // of the configured bound.
 TEST_F(SweepRunnerTest, HangFaultTimesOutWithinDeadline)
 {
-    setSweepFaultOverride("hang@stuck");
+    ScopedEnv fault("RAMPAGE_SWEEP_FAULT", "hang@stuck");
     SweepRunner::Options opts;
     opts.jobs = 1;
     opts.pointDeadlineSeconds = 0.2;
@@ -659,7 +660,6 @@ TEST_F(SweepRunnerTest, HangFaultTimesOutWithinDeadline)
     double took = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - started)
                       .count();
-    setSweepFaultOverride("");
 
     ASSERT_EQ(report.outcomes.size(), 2u);
     EXPECT_EQ(report.outcomes[0].status, PointStatus::TimedOut);
@@ -669,23 +669,28 @@ TEST_F(SweepRunnerTest, HangFaultTimesOutWithinDeadline)
 
 TEST_F(SweepRunnerTest, DeadlineParsingIsStrict)
 {
-    EXPECT_THROW(parsePointDeadline("abc"), ConfigError);
-    EXPECT_THROW(parsePointDeadline("-1"), ConfigError);
-    EXPECT_THROW(parsePointDeadline("0"), ConfigError);
-    EXPECT_THROW(parsePointDeadline("1.5x"), ConfigError);
-    EXPECT_THROW(parsePointDeadline(""), ConfigError);
-    EXPECT_THROW(parsePointDeadline("inf"), ConfigError);
-    EXPECT_DOUBLE_EQ(parsePointDeadline("2.5"), 2.5);
-    EXPECT_DOUBLE_EQ(parsePointDeadline(".5"), 0.5);
+    // The --point-deadline / RAMPAGE_DEADLINE row of the run-settings
+    // table.
+    for (const char *bad : {"abc", "-1", "0", "1.5x", "", "inf"})
+        EXPECT_THROW(applyRunFlag("--point-deadline", bad), ConfigError)
+            << bad;
+    EXPECT_DOUBLE_EQ(
+        settingsWithFlag("--point-deadline", "2.5").deadlineSeconds, 2.5);
+    EXPECT_DOUBLE_EQ(
+        settingsWithFlag("--point-deadline", ".5").deadlineSeconds, 0.5);
 
     // Environment resolution uses the same strict parse.
-    setPointDeadlineOverride(0);
-    ::setenv("RAMPAGE_DEADLINE", "soon", 1);
-    EXPECT_THROW(resolvePointDeadline(), ConfigError);
-    ::setenv("RAMPAGE_DEADLINE", "1.25", 1);
-    EXPECT_DOUBLE_EQ(resolvePointDeadline(), 1.25);
-    ::unsetenv("RAMPAGE_DEADLINE");
-    EXPECT_DOUBLE_EQ(resolvePointDeadline(), 0);
+    clearRunFlags();
+    {
+        ScopedEnv env("RAMPAGE_DEADLINE", "soon");
+        EXPECT_THROW(runSettings(), ConfigError);
+    }
+    {
+        ScopedEnv env("RAMPAGE_DEADLINE", "1.25");
+        EXPECT_DOUBLE_EQ(runSettings().deadlineSeconds, 1.25);
+    }
+    ScopedEnv unset("RAMPAGE_DEADLINE", nullptr);
+    EXPECT_DOUBLE_EQ(runSettings().deadlineSeconds, 0);
 }
 
 // ------------------------------------------------------------ retries
@@ -766,30 +771,41 @@ TEST_F(SweepRunnerTest, RetryCategoryClassification)
 
 TEST_F(SweepRunnerTest, RetriesAndIsolateParsingAreStrict)
 {
-    EXPECT_THROW(parseRetries("abc"), ConfigError);
-    EXPECT_THROW(parseRetries("-1"), ConfigError);
-    EXPECT_THROW(parseRetries("3x"), ConfigError);
-    EXPECT_THROW(parseRetries("17"), ConfigError); // > maxSweepRetries
-    EXPECT_EQ(parseRetries("0"), 0u);
-    EXPECT_EQ(parseRetries("16"), 16u);
+    // The --retries and --isolate rows of the run-settings table.
+    EXPECT_THROW(applyRunFlag("--retries", "abc"), ConfigError);
+    EXPECT_THROW(applyRunFlag("--retries", "-1"), ConfigError);
+    EXPECT_THROW(applyRunFlag("--retries", "3x"), ConfigError);
+    EXPECT_THROW(applyRunFlag("--retries", "17"),
+                 ConfigError); // > maxSweepRetries
+    EXPECT_EQ(settingsWithFlag("--retries", "0").retries, 0u);
+    EXPECT_EQ(settingsWithFlag("--retries", "16").retries, 16u);
 
-    setRetriesOverride(-1);
-    ::setenv("RAMPAGE_RETRIES", "many", 1);
-    EXPECT_THROW(resolveRetries(), ConfigError);
-    ::setenv("RAMPAGE_RETRIES", "2", 1);
-    EXPECT_EQ(resolveRetries(), 2u);
-    ::unsetenv("RAMPAGE_RETRIES");
-    EXPECT_EQ(resolveRetries(), 0u);
+    clearRunFlags();
+    {
+        ScopedEnv env("RAMPAGE_RETRIES", "many");
+        EXPECT_THROW(runSettings(), ConfigError);
+    }
+    {
+        ScopedEnv env("RAMPAGE_RETRIES", "2");
+        EXPECT_EQ(runSettings().retries, 2u);
+    }
+    ScopedEnv no_retries("RAMPAGE_RETRIES", nullptr);
+    EXPECT_EQ(runSettings().retries, 0u);
 
-    setIsolateOverride(-1);
-    ::setenv("RAMPAGE_ISOLATE", "yes", 1);
-    EXPECT_THROW(resolveIsolate(), ConfigError);
-    ::setenv("RAMPAGE_ISOLATE", "1", 1);
-    EXPECT_TRUE(resolveIsolate());
-    ::setenv("RAMPAGE_ISOLATE", "0", 1);
-    EXPECT_FALSE(resolveIsolate());
-    ::unsetenv("RAMPAGE_ISOLATE");
-    EXPECT_FALSE(resolveIsolate());
+    {
+        ScopedEnv env("RAMPAGE_ISOLATE", "yes");
+        EXPECT_THROW(runSettings(), ConfigError);
+    }
+    {
+        ScopedEnv env("RAMPAGE_ISOLATE", "1");
+        EXPECT_TRUE(runSettings().isolate);
+    }
+    {
+        ScopedEnv env("RAMPAGE_ISOLATE", "0");
+        EXPECT_FALSE(runSettings().isolate);
+    }
+    ScopedEnv no_isolate("RAMPAGE_ISOLATE", nullptr);
+    EXPECT_FALSE(runSettings().isolate);
 }
 
 // -------------------------------------------------- process isolation
@@ -836,7 +852,7 @@ TEST_F(SweepRunnerTest, IsolatedCrashIsContainedWithRingTail)
 // the fault-injection plumbing the CI smoke uses.
 TEST_F(SweepRunnerTest, IsolatedCrashFaultIsContained)
 {
-    setSweepFaultOverride("crash@victim");
+    ScopedEnv fault("RAMPAGE_SWEEP_FAULT", "crash@victim");
     SweepRunner::Options opts;
     opts.jobs = 1;
     opts.isolate = 1;
@@ -844,7 +860,6 @@ TEST_F(SweepRunnerTest, IsolatedCrashFaultIsContained)
     runner.add("victim", [] { return fakeResult(1); });
     runner.add("bystander", [] { return fakeResult(2); });
     SweepReport report = runner.run();
-    setSweepFaultOverride("");
 
     EXPECT_EQ(report.outcomes[0].status, PointStatus::Crashed);
     EXPECT_EQ(report.outcomes[0].signalNumber, SIGSEGV);
@@ -1149,14 +1164,13 @@ TEST_F(SweepRunnerTest, TornManifestLineFaultCostsOnePoint)
         });
     };
 
-    setSweepFaultOverride("torn-manifest-line@b");
     {
+        ScopedEnv fault("RAMPAGE_SWEEP_FAULT", "torn-manifest-line@b");
         SweepRunner first({manifest});
         build(first);
         SweepReport report = first.run();
         EXPECT_EQ(report.okCount(), 3u); // the tear is invisible live
     }
-    setSweepFaultOverride("");
 
     SweepRunner second({manifest});
     build(second);
