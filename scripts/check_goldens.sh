@@ -39,7 +39,10 @@ tmp=$(mktemp) || exit 1
 trap 'rm -f "$tmp"' EXIT
 trap 'rm -f "$tmp"; trap - EXIT; exit 130' INT TERM HUP
 
-benches="table3_runtimes table4_ctx_switch fig4_overheads fig_cores_sweep"
+# The last three price SDRAM, disk and pipelined Rambus, which no
+# other pinned bench reaches.
+benches="table3_runtimes table4_ctx_switch fig4_overheads fig_cores_sweep
+table1_rambus_efficiency ablation_dram_technology ablation_pipelined_rambus"
 status=0
 missing=0
 for name in $benches; do
