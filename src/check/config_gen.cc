@@ -218,7 +218,7 @@ mutateHostile(Rng &rng, HierarchyConfig &config)
         config.family == HierarchyConfig::Family::Conventional;
     std::uint64_t huge = std::uint64_t{1} << 62;
 
-    switch (rng.below(conventional ? 10 : 16)) {
+    switch (rng.below(conventional ? 10 : 15)) {
       case 0:
         c.l1BlockBytes = 48;
         return "l1BlockBytes non-power-of-two (48)";
@@ -286,10 +286,6 @@ mutateHostile(Rng &rng, HierarchyConfig &config)
         config.paged.pager.repl = PageReplKind::Standby;
         config.paged.pager.standbyPages = huge;
         return "standbyPages exceeds the evictable frames";
-      case 15:
-        config.paged.pager.osVirtBase =
-            c.handlerLayout.codeBase + 0x100;
-        return "pager OS region not at the handler code base";
     }
     return "no mutation";
 }

@@ -487,7 +487,7 @@ class RefPager
             alignDown(bonus, floorLog2(prm.pageBytes));
         nFrames = total_bytes / prm.pageBytes;
 
-        tableVbase = prm.osVirtBase + prm.osFixedBytes;
+        tableVbase = osVirtBase + prm.osFixedBytes;
         ipt = std::make_unique<InvertedPageTable>(nFrames, tableVbase);
         if (uniform()) {
             nOsFrames = divCeil(prm.osFixedBytes + ipt->tableBytes(),
@@ -583,7 +583,7 @@ class RefPager
     Addr
     osPhysAddr(Addr os_vaddr) const
     {
-        return os_vaddr - prm.osVirtBase;
+        return os_vaddr - osVirtBase;
     }
 
     const RefPagerStats &stats() const { return stat; }
@@ -818,8 +818,7 @@ class RefPagedSystem
           l1d(cfg.l1SizeBytes, cfg.l1BlockBytes, cfg.l1Assoc,
               ReplPolicy::LRU, 102),
           tlb(cfg.tlb),
-          pager(config.pager),
-          handlers(cfg.handlerLayout, cfg.handlerCosts)
+          pager(config.pager)
     {
     }
 
@@ -1175,7 +1174,8 @@ checkConventionalTlbReplay(const FuzzPoint &point,
                            std::vector<std::string> &mismatches)
 {
     const CommonConfig &cfg = point.hier.conventional.common;
-    const HandlerCosts &costs = cfg.handlerCosts;
+    constexpr std::uint64_t tlb_miss_instrs = HandlerTraces::tlbMissInstrs;
+    constexpr std::uint64_t switch_len = HandlerTraces::contextSwitchLength;
     unsigned page_bits = floorLog2(cfg.dramPageBytes);
 
     // Exact TLB replay: conventional translation is fault-free, the
@@ -1201,8 +1201,6 @@ checkConventionalTlbReplay(const FuzzPoint &point,
         point.sim.insertSwitchTrace
             ? divCeil(point.sim.maxRefs, point.sim.quantumRefs)
             : 0;
-    std::uint64_t switch_len =
-        costs.contextSwitchInstrs + costs.contextSwitchData;
 
     expectCounter(stats, "tlb.hits", tlb.stats().hits, mismatches);
     expectCounter(stats, "tlb.misses", misses, mismatches);
@@ -1213,19 +1211,18 @@ checkConventionalTlbReplay(const FuzzPoint &point,
     expectCounter(stats, "sim.context_switches", switches, mismatches);
     // TLB-miss handler: body instructions plus two directory probes.
     expectCounter(stats, "sim.tlb_miss_overhead_refs",
-                  (costs.tlbMissInstrs + 2) * misses, mismatches);
+                  (tlb_miss_instrs + 2) * misses, mismatches);
     expectCounter(stats, "sim.fault_overhead_refs", 0, mismatches);
     expectCounter(stats, "sim.overhead_refs",
-                  (costs.tlbMissInstrs + 2) * misses +
-                      switch_len * switches,
+                  (tlb_miss_instrs + 2) * misses + switch_len * switches,
                   mismatches);
     expectCounter(stats, "sim.refs",
-                  point.sim.maxRefs + (costs.tlbMissInstrs + 2) * misses +
+                  point.sim.maxRefs + (tlb_miss_instrs + 2) * misses +
                       switch_len * switches,
                   mismatches);
     expectCounter(stats, "sim.instr_fetches",
-                  trace_ifetches + costs.tlbMissInstrs * misses +
-                      costs.contextSwitchInstrs * switches,
+                  trace_ifetches + tlb_miss_instrs * misses +
+                      HandlerTraces::contextSwitchInstrs * switches,
                   mismatches);
 
     // Cache counters ride on DRAM frame placement the oracle does not

@@ -10,9 +10,10 @@
  * hierarchy is `final` and instantiates the engine on itself (H = the
  * concrete class), so the compiler binds every hook statically —
  * which is what makes the simulator's inner loop cheap.  The hooks
- * are therefore plain (non-virtual) members of the concrete classes;
- * only l1WritebackCost() stays virtual, because base-class code
- * (Hierarchy::invalidateL1RangeFor) calls it too.
+ * are therefore plain (non-virtual) members of the concrete classes.
+ * The one per-hierarchy cost, the L1 write-back, is not a hook but a
+ * value each class passes to Hierarchy's constructor (l1WbCycles),
+ * which the engine and Hierarchy::invalidateL1RangeFor both read.
  *
  * The hook contract, per concrete hierarchy H:
  *
@@ -48,9 +49,7 @@
  *    at `paddr` and fill.  Returns cycles; DRAM time accrues via
  *    addDramPs().
  *  - `Cycles writebackBelow(Addr victim_addr)`: a dirty L1 victim's
- *    write-back to the level below.
- *  - `Cycles l1WritebackCost() const` (virtual): the L1 write-back
- *    cycles (12 conventional, 9 RAMpage).
+ *    write-back to the level below, on top of the l1WbCycles charge.
  *
  * The translation cache in front of the TLB (one entry per
  * instruction/data stream) is exactly state- and stat-neutral: it
@@ -231,7 +230,7 @@ struct AccessEngine
             // stream (§4.3: "where there are no misses, only
             // instruction fetches add to simulated run time").
             ++h.evt.instrFetches;
-            h.evt.l1iCycles += h.cfg.l1HitCycles;
+            h.evt.l1iCycles += Hierarchy::l1HitCycles;
         }
         // TLB and L1 data hits are fully pipelined: zero time.  Stores
         // enjoy perfect write buffering (§4.3), so a hitting store is
@@ -250,7 +249,7 @@ struct AccessEngine
             // before the fill (write-back, write-allocate L1).
             if (res.victimValid && res.victimDirty) {
                 ++h.evt.l1Writebacks;
-                h.evt.l2Cycles += h.l1WritebackCost();
+                h.evt.l2Cycles += h.l1WbCycles;
                 h.evt.l2Cycles += h.writebackBelow(res.victimAddr);
             }
             h.evt.l2Cycles +=

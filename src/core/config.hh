@@ -2,12 +2,13 @@
  * @file
  * Configuration structures for the simulated systems (paper §4).
  *
- * CommonConfig carries everything shared by all hierarchies (§4.3):
- * the issue-rate CPU model, split L1, TLB, CPU-L2 bus and Direct
- * Rambus DRAM.  ConventionalConfig adds the L2 cache geometry
- * (direct-mapped baseline §4.4, or 2-way §4.7); PagedConfig adds
- * the SRAM main-memory page store (§4.5, §6.2/§6.3) and the
- * context-switch-on-miss option (§4.6).
+ * CommonConfig carries the settable shape shared by all hierarchies
+ * (§4.3): the issue-rate CPU model, split L1, TLB and DRAM channel.
+ * The paper's fixed costs are constants beside the code that charges
+ * them (DESIGN.md §1 lists each one).  ConventionalConfig adds the
+ * L2 cache geometry (direct-mapped baseline §4.4, or 2-way §4.7);
+ * PagedConfig adds the SRAM main-memory page store (§4.5, §6.2/§6.3)
+ * and the context-switch-on-miss option (§4.6).
  */
 
 #ifndef RAMPAGE_CORE_CONFIG_HH
@@ -17,10 +18,8 @@
 
 #include "cache/cache.hh"
 #include "dram/rambus.hh"
-#include "dram/sdram.hh"
 #include "os/page_store.hh"
 #include "tlb/tlb.hh"
-#include "trace/handlers.hh"
 #include "util/types.hh"
 
 namespace rampage
@@ -51,21 +50,6 @@ struct CommonConfig
     std::uint64_t l1SizeBytes = 16 * kib;
     std::uint64_t l1BlockBytes = 32;
     unsigned l1Assoc = 1;
-    /** L1 read hit (and inclusion probe) cost; hits are pipelined so
-     *  this is charged only for instruction issue and probes. */
-    Cycles l1HitCycles = 1;
-
-    // --- CPU-L2 bus / L2 hit timing ---------------------------------
-    /**
-     * L1 miss penalty to the L2 cache or SRAM main memory: 4 cycles
-     * of the 1/3-rate 128-bit bus = 12 CPU cycles, including tag
-     * check and transfer to L1.
-     */
-    Cycles l2HitCycles = 12;
-    /** L1 write-back to L2 (tag update + transfer). */
-    Cycles l1WritebackCycles = 12;
-    /** L1 write-back under RAMpage: 9 cycles, no L2 tag to update. */
-    Cycles l1WritebackCyclesRampage = 9;
 
     // --- TLB (64 entries, fully associative, random) ----------------
     TlbParams tlb{};
@@ -75,15 +59,8 @@ struct CommonConfig
     enum class DramKind : std::uint8_t { DirectRambus, Sdram };
     DramKind dramKind = DramKind::DirectRambus;
     RambusConfig rambus{};
-    SdramConfig sdram{};
     /** DRAM page size (fixed, both hierarchies). */
     std::uint64_t dramPageBytes = 4096;
-
-    // --- software costs ---------------------------------------------
-    HandlerLayout handlerLayout{};
-    HandlerCosts handlerCosts{};
-    /** Uncached DRAM-directory probe size during RAMpage faults. */
-    std::uint64_t dramProbeBytes = 8;
 
     /** CPU cycle time in picoseconds. */
     Tick cyclePs() const;

@@ -31,7 +31,7 @@ l2Params(const ConventionalConfig &cfg)
 
 ConventionalHierarchy::ConventionalHierarchy(
     const ConventionalConfig &config)
-    : Hierarchy(config.common),
+    : Hierarchy(config.common, l1WritebackCycles),
       ccfg(config),
       l2Cache(l2Params(config))
 {
@@ -118,12 +118,6 @@ ConventionalHierarchy::columnStats() const
     return columnL2->stats();
 }
 
-Cycles
-ConventionalHierarchy::l1WritebackCost() const
-{
-    return cfg.l1WritebackCycles;
-}
-
 Hierarchy::TranslationWalk
 ConventionalHierarchy::walkTranslation(Pid pid, std::uint64_t vpn,
                                        std::vector<Addr> &probes)
@@ -201,7 +195,7 @@ ConventionalHierarchy::auditState(AuditContext &ctx) const
 Cycles
 ConventionalHierarchy::fillFromBelow(Addr paddr, bool /*is_write*/)
 {
-    Cycles cycles = cfg.l2HitCycles;
+    Cycles cycles = l2HitCycles;
     ++evt.l2Accesses;
 
     if (columnL2) {
@@ -211,16 +205,14 @@ ConventionalHierarchy::fillFromBelow(Addr paddr, bool /*is_write*/)
         CacheAccessResult col =
             columnL2->access(paddr, false, rehash_probe);
         if (rehash_probe)
-            cycles += cfg.l2HitCycles;
+            cycles += l2HitCycles;
         if (col.hit)
             return cycles;
         ++evt.l2Misses;
         RAMPAGE_TRACE_EVENT(L2Miss, 0, paddr, 0);
         if (col.victimValid) {
             bool dirty = col.victimDirty;
-            Cycles flush_cycles = 0;
-            dirty |= invalidateL1Range(col.victimAddr,
-                                       ccfg.l2BlockBytes, flush_cycles);
+            dirty |= invalidateL1Range(col.victimAddr, ccfg.l2BlockBytes);
             if (dirty) {
                 ++evt.dramWrites;
                 noteDramTx(ccfg.l2BlockBytes, true);
@@ -244,9 +236,7 @@ ConventionalHierarchy::fillFromBelow(Addr paddr, bool /*is_write*/)
     // invalidating its L1 blocks, then write it to DRAM when dirty.
     if (res.victimValid) {
         bool dirty = res.victimDirty;
-        Cycles flush_cycles = 0;
-        dirty |= invalidateL1Range(res.victimAddr, ccfg.l2BlockBytes,
-                                   flush_cycles);
+        dirty |= invalidateL1Range(res.victimAddr, ccfg.l2BlockBytes);
         if (victim) {
             VictimCache::Displaced out =
                 victim->insert(res.victimAddr, dirty);
@@ -270,7 +260,7 @@ ConventionalHierarchy::fillFromBelow(Addr paddr, bool /*is_write*/)
             l2Cache.blockAddr(paddr));
         if (hit.hit) {
             ++evt.victimCacheHits;
-            cycles += cfg.l2HitCycles;
+            cycles += l2HitCycles;
             if (hit.dirty)
                 l2Cache.markDirty(paddr);
             filled = true;

@@ -27,6 +27,9 @@ namespace rampage
 class ConventionalHierarchy final : public Hierarchy
 {
   public:
+    /** L1 write-back to the L2: tag update + transfer (§4.3). */
+    static constexpr Cycles l1WritebackCycles = 12;
+
     explicit ConventionalHierarchy(const ConventionalConfig &config);
 
     std::string name() const override;
@@ -53,7 +56,6 @@ class ConventionalHierarchy final : public Hierarchy
   protected:
     friend class FaultInjector;
     friend struct AccessEngine;
-    Cycles l1WritebackCost() const override;
 
     // --- AccessEngine policy hooks (contract: access_engine.hh) ----
     Cycles fillFromBelow(Addr paddr, bool is_write);
@@ -70,7 +72,7 @@ class ConventionalHierarchy final : public Hierarchy
         // is OS-virtual and maps into a fixed image at osImageBase.
         if (vaddr >= (Addr{1} << 40))
             return vaddr;
-        return osImageBase + (vaddr - cfg.handlerLayout.codeBase);
+        return osImageBase + (vaddr - osVirtBase);
     }
 
     unsigned

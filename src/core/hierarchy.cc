@@ -17,11 +17,12 @@ CommonConfig::cyclePs() const
     return cycleTimePs(issueHz);
 }
 
-Hierarchy::Hierarchy(const CommonConfig &config)
+Hierarchy::Hierarchy(const CommonConfig &config,
+                     Cycles l1_writeback_cycles)
     : cfg(config),
+      l1WbCycles(l1_writeback_cycles),
       cycPs(config.cyclePs()),
-      backend(config),
-      handlers(config.handlerLayout, config.handlerCosts)
+      backend(config)
 {
     if (cfg.cores < 1 || cfg.cores > maxCores) {
         throw ConfigError("cores must be in [1, " +
@@ -74,38 +75,29 @@ Hierarchy::totalPs(std::uint64_t issue_hz) const
 }
 
 bool
-Hierarchy::invalidateL1Range(Addr base, std::uint64_t bytes,
-                             Cycles &cycles_out)
+Hierarchy::invalidateL1Range(Addr base, std::uint64_t bytes)
 {
-    // Every core: the single-core path and conventional hierarchies
-    // have exactly one frontend, so this is the historical behaviour;
-    // the residency-gated multicore page-replacement path calls
-    // invalidateL1RangeFor() per resident core instead.
+    // Every core (conventional L2 evictions); the residency-gated
+    // page-replacement path calls invalidateL1RangeFor() per resident
+    // core instead.
     bool flushed_dirty = false;
-    Cycles cycles = 0;
-    for (auto &core : frontends) {
-        Cycles core_cycles = 0;
-        flushed_dirty |=
-            invalidateL1RangeFor(*core, base, bytes, core_cycles);
-        cycles += core_cycles;
-    }
-    cycles_out = cycles;
+    for (auto &core : frontends)
+        flushed_dirty |= invalidateL1RangeFor(*core, base, bytes);
     return flushed_dirty;
 }
 
 bool
 Hierarchy::invalidateL1RangeFor(CoreFrontend &core, Addr base,
-                                std::uint64_t bytes, Cycles &cycles_out)
+                                std::uint64_t bytes)
 {
     bool flushed_dirty = false;
-    Cycles cycles = 0;
     for (Addr block = base; block < base + bytes;
          block += cfg.l1BlockBytes) {
         // Both L1 caches are probed at hit time (§4.3: "the given hit
         // times are however used when replacements or maintaining
         // inclusion are simulated").
-        evt.l1iCycles += cfg.l1HitCycles;
-        evt.l1dCycles += cfg.l1HitCycles;
+        evt.l1iCycles += l1HitCycles;
+        evt.l1dCycles += l1HitCycles;
         evt.inclusionProbes += 2;
         core.l1iCache.invalidate(block);
         auto inv = core.l1dCache.invalidate(block);
@@ -113,12 +105,10 @@ Hierarchy::invalidateL1RangeFor(CoreFrontend &core, Addr base,
             // The L1 copy was newer: flush it into the departing
             // block so the DRAM write carries current data.
             ++evt.inclusionWritebacks;
-            cycles += l1WritebackCost();
+            evt.l2Cycles += l1WbCycles;
             flushed_dirty = true;
         }
     }
-    evt.l2Cycles += cycles;
-    cycles_out = cycles;
     return flushed_dirty;
 }
 

@@ -75,7 +75,23 @@ struct BatchOutcome
 class Hierarchy
 {
   public:
-    explicit Hierarchy(const CommonConfig &config);
+    /**
+     * L1 read hit and inclusion-probe cost.  Hits are pipelined, so
+     * it is charged only for instruction issue and probes (§4.3).
+     */
+    static constexpr Cycles l1HitCycles = 1;
+    /**
+     * L1 miss penalty to the L2 cache or SRAM main memory: 4 cycles
+     * of the 1/3-rate 128-bit bus = 12 CPU cycles, including tag
+     * check and transfer to L1 (§4.3).
+     */
+    static constexpr Cycles l2HitCycles = 12;
+
+    /**
+     * @param l1_writeback_cycles the concrete hierarchy's L1
+     *        write-back cost (12 conventional, 9 RAMpage).
+     */
+    Hierarchy(const CommonConfig &config, Cycles l1_writeback_cycles);
     virtual ~Hierarchy() = default;
 
     Hierarchy(const Hierarchy &) = delete;
@@ -225,14 +241,13 @@ class Hierarchy
     };
 
     /**
-     * Invalidate every L1 block within [base, base+bytes), charging
-     * one probe cycle per block per cache, and the L1 write-back
-     * cost for each dirty data block flushed.
+     * Invalidate every core's L1 blocks within [base, base+bytes),
+     * charging one probe cycle per block per cache, and the L1
+     * write-back cost for each dirty data block flushed.
      * @return true when a dirty L1D block was flushed (the enclosing
      *         victim must be written to DRAM even if clean below).
      */
-    bool invalidateL1Range(Addr base, std::uint64_t bytes,
-                           Cycles &cycles_out);
+    bool invalidateL1Range(Addr base, std::uint64_t bytes);
 
     /** Accrue DRAM transaction time. */
     void
@@ -266,12 +281,14 @@ class Hierarchy
      * Invalidate one core's L1 blocks within [base, base+bytes).
      * The page-replacement path calls this only for cores whose
      * residency bit is set on the reassigned frame (coherence-lite);
-     * invalidateL1Range() above is the every-core wrapper.
+     * invalidateL1Range() is the every-core wrapper.
      */
     bool invalidateL1RangeFor(CoreFrontend &core, Addr base,
-                              std::uint64_t bytes, Cycles &cycles_out);
+                              std::uint64_t bytes);
 
     CommonConfig cfg;
+    /** L1 write-back cycles for this hierarchy (12 conv., 9 RAMpage). */
+    const Cycles l1WbCycles;
     Tick cycPs;          ///< cycle time at the configured issue rate
     MemoryBackend backend; ///< shared memory-side state (all cores)
     /** One frontend per configured core (§4.3 CPU model each). */
@@ -281,9 +298,6 @@ class Hierarchy
     HandlerTraces handlers;
     EventCounts evt;
     StatsRegistry statsReg;    ///< named stats, filled at construction
-
-    /** Write-back cycles for this hierarchy (12 conv., 9 RAMpage). */
-    virtual Cycles l1WritebackCost() const = 0;
 
     /** Per-stream translation cache (lives in each CoreFrontend). */
     using TranslationCache = CoreFrontend::TranslationCache;

@@ -5,7 +5,6 @@ namespace rampage
 
 MemoryBackend::MemoryBackend(const CommonConfig &cfg)
     : rambusModel(cfg.rambus),
-      sdramModel(cfg.sdram),
       dramSel(cfg.dramKind == CommonConfig::DramKind::Sdram
                   ? static_cast<const DramModel *>(&sdramModel)
                   : static_cast<const DramModel *>(&rambusModel)),

@@ -11,7 +11,7 @@ namespace rampage
 {
 
 PagedHierarchy::PagedHierarchy(const PagedConfig &config)
-    : Hierarchy(config.common),
+    : Hierarchy(config.common, l1WritebackCycles),
       pcfg(config),
       store(config.pager)
 {
@@ -40,9 +40,6 @@ PagedHierarchy::PagedHierarchy(const PagedConfig &config)
             check(bytes);
         }
     }
-    if (sp.osVirtBase != cfg.handlerLayout.codeBase)
-        throw ConfigError(
-            "pager OS region must start at the handler code base");
     store.registerStats(statsReg, "pager");
 }
 
@@ -74,13 +71,6 @@ Tick
 PagedHierarchy::runContextSwitchTrace()
 {
     return AccessEngine::runContextSwitchTrace(*this);
-}
-
-Cycles
-PagedHierarchy::l1WritebackCost() const
-{
-    // 9 cycles: no L2 tag to update (§4.3).
-    return cfg.l1WritebackCyclesRampage;
 }
 
 Hierarchy::TranslationWalk
@@ -209,7 +199,7 @@ PagedHierarchy::fillFromBelow(Addr paddr, bool /*is_write*/)
     // before the L1 was probed.
     ++evt.l2Accesses;
     store.touch(paddr / store.frameBytes());
-    return cfg.l2HitCycles;
+    return l2HitCycles;
 }
 
 Cycles
@@ -255,46 +245,27 @@ PagedHierarchy::servicePageFault(Pid pid, std::uint64_t vpn,
     // pages, each priced as its own DRAM write.
     bool paired = store.uniform();
     bool write_victim = false;
-    // Page replacement tears down translations: the per-stream
-    // last-translation caches must go with them ("tlb.trans_cache"
-    // invariant — a stale survivor here is exactly what
-    // ModelFault::TransCacheStale injects).
-    if (!fault.victims.empty() && coreCount() == 1)
-        fe().transCacheInvalidate();
     for (const PageVictim &victim : fault.victims) {
         Addr victim_base = victim.startFrame * frame_bytes;
-        Cycles flush_cycles = 0;
         bool dirty = victim.dirty;
-        if (coreCount() == 1) {
-            // The historical single-core path, bit-identical to the
-            // monolithic engine.
-            fe().tlbUnit.invalidate(victim.pid, victim.vpn);
+        // Ownership change (coherence-lite): exactly the cores in the
+        // departing frame's residency mask may hold private copies —
+        // invalidate each one's TLB entry, last-translation cache
+        // ("tlb.trans_cache": a stale survivor is what
+        // ModelFault::TransCacheStale injects) and L1 blocks, charging
+        // the probe/flush cycles per resident core.  Non-resident
+        // cores never translated the frame since its last assignment,
+        // so they are untouched.  A single core's bit is always set:
+        // the TLB install that follows every fault sets it.
+        std::uint64_t mask = backend.residencyMask(victim.startFrame);
+        for (unsigned c = 0; c < coreCount(); ++c) {
+            if (!((mask >> c) & 1))
+                continue;
+            CoreFrontend &core = fe(static_cast<CoreId>(c));
+            core.tlbUnit.invalidate(victim.pid, victim.vpn);
             RAMPAGE_TRACE_EVENT(TlbFlush, 0, victim.vpn, victim.pid);
-            dirty |= invalidateL1Range(victim_base, victim.bytes,
-                                       flush_cycles);
-        } else {
-            // Ownership change (coherence-lite): exactly the cores in
-            // the departing frame's residency mask may hold private
-            // copies — invalidate each one's TLB entry, translation
-            // cache and L1 blocks, charging the probe/flush cycles per
-            // resident core.  Non-resident cores never translated the
-            // frame since its last assignment, so they are untouched.
-            std::uint64_t mask =
-                backend.residencyMask(victim.startFrame);
-            for (unsigned c = 0; c < coreCount(); ++c) {
-                if (!((mask >> c) & 1))
-                    continue;
-                CoreFrontend &core = fe(static_cast<CoreId>(c));
-                core.tlbUnit.invalidate(victim.pid, victim.vpn);
-                RAMPAGE_TRACE_EVENT(TlbFlush, 0, victim.vpn,
-                                    victim.pid);
-                core.transCacheInvalidate();
-                Cycles core_cycles = 0;
-                dirty |= invalidateL1RangeFor(core, victim_base,
-                                              victim.bytes,
-                                              core_cycles);
-                flush_cycles += core_cycles;
-            }
+            core.transCacheInvalidate();
+            dirty |= invalidateL1RangeFor(core, victim_base, victim.bytes);
         }
         // No core holds copies of the reassigned frame any more.
         backend.clearResidency(victim.startFrame);

@@ -38,6 +38,9 @@ namespace rampage
 class PagedHierarchy final : public Hierarchy
 {
   public:
+    /** L1 write-back into the SRAM main memory: no L2 tag (§4.3). */
+    static constexpr Cycles l1WritebackCycles = 9;
+
     explicit PagedHierarchy(const PagedConfig &config);
 
     std::string name() const override;
@@ -65,7 +68,6 @@ class PagedHierarchy final : public Hierarchy
   protected:
     friend class FaultInjector;
     friend struct AccessEngine;
-    Cycles l1WritebackCost() const override;
 
     // --- AccessEngine policy hooks (contract: access_engine.hh) ----
     Cycles fillFromBelow(Addr paddr, bool is_write);

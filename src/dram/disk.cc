@@ -1,21 +1,14 @@
 #include "dram/disk.hh"
 
-#include "util/logging.hh"
-
 namespace rampage
 {
-
-Disk::Disk(const DiskConfig &config) : cfg(config)
-{
-    RAMPAGE_ASSERT(cfg.bytesPerSecond > 0, "disk rate must be positive");
-}
 
 Tick
 Disk::readPs(std::uint64_t bytes) const
 {
-    double stream_ps = static_cast<double>(bytes) / cfg.bytesPerSecond *
+    double stream_ps = static_cast<double>(bytes) / bytesPerSecond *
                        static_cast<double>(psPerSec);
-    return cfg.latencyPs + static_cast<Tick>(stream_ps + 0.5);
+    return latencyPs + static_cast<Tick>(stream_ps + 0.5);
 }
 
 Tick
@@ -27,7 +20,7 @@ Disk::writePs(std::uint64_t bytes) const
 double
 Disk::peakBandwidth() const
 {
-    return cfg.bytesPerSecond;
+    return bytesPerSecond;
 }
 
 } // namespace rampage

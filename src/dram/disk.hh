@@ -14,28 +14,19 @@
 namespace rampage
 {
 
-/** Configuration of the Table 1 disk. */
-struct DiskConfig
-{
-    /** Positioning latency (paper: 10 ms). */
-    Tick latencyPs = 10 * psPerMs;
-    /** Streaming rate in bytes per second (paper: 40 MB/s, decimal). */
-    double bytesPerSecond = 40e6;
-};
-
 /** Simple latency + streaming-rate disk. */
 class Disk : public DramModel
 {
   public:
-    explicit Disk(const DiskConfig &config = DiskConfig{});
+    /** Positioning latency (paper: 10 ms). */
+    static constexpr Tick latencyPs = 10 * psPerMs;
+    /** Streaming rate in bytes per second (paper: 40 MB/s, decimal). */
+    static constexpr double bytesPerSecond = 40e6;
 
     Tick readPs(std::uint64_t bytes) const override;
     Tick writePs(std::uint64_t bytes) const override;
     double peakBandwidth() const override;
     std::string name() const override { return "Disk"; }
-
-  private:
-    DiskConfig cfg;
 };
 
 } // namespace rampage

@@ -8,8 +8,6 @@ namespace rampage
 
 DirectRambus::DirectRambus(const RambusConfig &config) : cfg(config)
 {
-    RAMPAGE_ASSERT(cfg.bytesPerBeat > 0, "bus must move bytes per beat");
-    RAMPAGE_ASSERT(cfg.beatPs > 0, "beat time must be positive");
     RAMPAGE_ASSERT(cfg.pipelineDepth > 0, "pipeline depth must be >= 1");
     RAMPAGE_ASSERT(cfg.channels > 0, "at least one channel required");
 }
@@ -18,13 +16,13 @@ Tick
 DirectRambus::streamPs(std::uint64_t bytes) const
 {
     // Multiple channels stripe the transfer: beats run in parallel.
-    return divCeil(bytes, cfg.bytesPerBeat * cfg.channels) * cfg.beatPs;
+    return divCeil(bytes, bytesPerBeat * cfg.channels) * beatPs;
 }
 
 Tick
 DirectRambus::readPs(std::uint64_t bytes) const
 {
-    return cfg.accessLatencyPs + streamPs(bytes);
+    return accessLatencyPs + streamPs(bytes);
 }
 
 Tick
@@ -37,8 +35,8 @@ DirectRambus::writePs(std::uint64_t bytes) const
 double
 DirectRambus::peakBandwidth() const
 {
-    return static_cast<double>(cfg.bytesPerBeat * cfg.channels) /
-           (static_cast<double>(cfg.beatPs) / psPerSec);
+    return static_cast<double>(bytesPerBeat * cfg.channels) /
+           (static_cast<double>(beatPs) / psPerSec);
 }
 
 std::string
@@ -70,10 +68,10 @@ DirectRambus::burstPs(std::uint64_t bytes, std::uint64_t count) const
     // depth-1 requests can be outstanding, capping the overlap window
     // to (depth-1)*stream per transaction.
     Tick overlap_window = static_cast<Tick>(cfg.pipelineDepth - 1) * stream;
-    Tick exposed_per_txn = cfg.accessLatencyPs > overlap_window
-                               ? cfg.accessLatencyPs - overlap_window
+    Tick exposed_per_txn = accessLatencyPs > overlap_window
+                               ? accessLatencyPs - overlap_window
                                : 0;
-    return cfg.accessLatencyPs + total_stream +
+    return accessLatencyPs + total_stream +
            (count - 1) * exposed_per_txn;
 }
 

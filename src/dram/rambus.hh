@@ -20,15 +20,9 @@
 namespace rampage
 {
 
-/** Configuration of a Direct Rambus channel. */
+/** The settable shape of a Direct Rambus channel. */
 struct RambusConfig
 {
-    /** Latency before the first datum of a transaction. */
-    Tick accessLatencyPs = 50 * psPerNs;
-    /** Picoseconds per transfer beat. */
-    Tick beatPs = 1250;
-    /** Bytes moved per beat (Direct Rambus: a 2-byte bus). */
-    std::uint64_t bytesPerBeat = 2;
     /**
      * Parallel Rambus channels.  §3.3: "It is also possible to have
      * multiple Rambus channels to increase bandwidth, though latency
@@ -52,6 +46,13 @@ struct RambusConfig
 class DirectRambus : public DramModel
 {
   public:
+    /** Latency before the first datum of a transaction. */
+    static constexpr Tick accessLatencyPs = 50 * psPerNs;
+    /** Picoseconds per transfer beat. */
+    static constexpr Tick beatPs = 1250;
+    /** Bytes moved per beat (Direct Rambus: a 2-byte bus). */
+    static constexpr std::uint64_t bytesPerBeat = 2;
+
     explicit DirectRambus(const RambusConfig &config = RambusConfig{});
 
     Tick readPs(std::uint64_t bytes) const override;

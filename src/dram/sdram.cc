@@ -1,21 +1,14 @@
 #include "dram/sdram.hh"
 
 #include "util/bitops.hh"
-#include "util/logging.hh"
 
 namespace rampage
 {
 
-Sdram::Sdram(const SdramConfig &config) : cfg(config)
-{
-    RAMPAGE_ASSERT(cfg.busBytes > 0, "bus width must be positive");
-    RAMPAGE_ASSERT(cfg.busCyclePs > 0, "bus cycle must be positive");
-}
-
 Tick
 Sdram::readPs(std::uint64_t bytes) const
 {
-    return cfg.accessLatencyPs + divCeil(bytes, cfg.busBytes) * cfg.busCyclePs;
+    return accessLatencyPs + divCeil(bytes, busBytes) * busCyclePs;
 }
 
 Tick
@@ -27,8 +20,8 @@ Sdram::writePs(std::uint64_t bytes) const
 double
 Sdram::peakBandwidth() const
 {
-    return static_cast<double>(cfg.busBytes) /
-           (static_cast<double>(cfg.busCyclePs) / psPerSec);
+    return static_cast<double>(busBytes) /
+           (static_cast<double>(busCyclePs) / psPerSec);
 }
 
 } // namespace rampage

@@ -14,32 +14,21 @@
 namespace rampage
 {
 
-/** Configuration of an SDRAM memory system. */
-struct SdramConfig
-{
-    /** Initial access delay (paper example: 50 ns). */
-    Tick accessLatencyPs = 50 * psPerNs;
-    /** Bus cycle time (paper example: 10 ns). */
-    Tick busCyclePs = 10 * psPerNs;
-    /** Bus width in bytes (paper example: 128 bits = 16 bytes). */
-    std::uint64_t busBytes = 16;
-};
-
 /** Wide synchronous DRAM channel. */
 class Sdram : public DramModel
 {
   public:
-    explicit Sdram(const SdramConfig &config = SdramConfig{});
+    /** Initial access delay (paper example: 50 ns). */
+    static constexpr Tick accessLatencyPs = 50 * psPerNs;
+    /** Bus cycle time (paper example: 10 ns). */
+    static constexpr Tick busCyclePs = 10 * psPerNs;
+    /** Bus width in bytes (paper example: 128 bits = 16 bytes). */
+    static constexpr std::uint64_t busBytes = 16;
 
     Tick readPs(std::uint64_t bytes) const override;
     Tick writePs(std::uint64_t bytes) const override;
     double peakBandwidth() const override;
     std::string name() const override { return "SDRAM"; }
-
-    const SdramConfig &config() const { return cfg; }
-
-  private:
-    SdramConfig cfg;
 };
 
 } // namespace rampage

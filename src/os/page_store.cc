@@ -77,7 +77,7 @@ PageStore::PageStore(const PageStoreParams &params)
 
     // The table is sized for every frame; the pinned reserve is the
     // table image plus the fixed OS code/data, rounded up to frames.
-    tableVbase = prm.osVirtBase + prm.osFixedBytes;
+    tableVbase = osVirtBase + prm.osFixedBytes;
     ipt = std::make_unique<InvertedPageTable>(nFrames, tableVbase);
     if (uniform()) {
         nOsFrames = divCeil(prm.osFixedBytes + ipt->tableBytes(),

@@ -79,10 +79,11 @@ struct PageStoreParams
     /** Standby list length for PageReplKind::Standby. */
     std::uint64_t standbyPages = 16;
     std::uint64_t seed = 11;
-    /** Fixed OS image (handler code + data) pinned besides the table. */
+    /**
+     * Fixed OS image (handler code + data) pinned besides the table;
+     * the region starts at osVirtBase (util/types.hh).
+     */
     std::uint64_t osFixedBytes = 12 * kib;
-    /** Virtual base of the pinned OS region (code, data, then table). */
-    Addr osVirtBase = 0x0001'0000;
 
     // --- per-pid page-size policy (§6.2/§6.3) -----------------------
     /**
@@ -236,18 +237,16 @@ class PageStore
     Addr
     osPhysAddr(Addr os_vaddr) const
     {
-        RAMPAGE_ASSERT(os_vaddr >= prm.osVirtBase &&
-                           os_vaddr < osVirtEnd(),
+        RAMPAGE_ASSERT(os_vaddr >= osVirtBase && os_vaddr < osVirtEnd(),
                        "address outside the pinned OS region");
         // The reserve occupies frames [0, nOsFrames) verbatim.
-        return os_vaddr - prm.osVirtBase;
+        return os_vaddr - osVirtBase;
     }
 
-    /** Extent of the pinned OS virtual region. */
-    Addr osVirtBase() const { return prm.osVirtBase; }
+    /** End of the pinned OS virtual region (it starts at osVirtBase). */
     Addr osVirtEnd() const
     {
-        return prm.osVirtBase + nOsFrames * prm.pageBytes;
+        return osVirtBase + nOsFrames * prm.pageBytes;
     }
 
     /** Virtual base address of the residency-table image. */

@@ -1,7 +1,5 @@
 #include "trace/handlers.hh"
 
-#include "util/logging.hh"
-
 namespace rampage
 {
 
@@ -9,23 +7,20 @@ namespace
 {
 
 // Entry points of the three handler bodies within the OS text
-// segment, packed so the whole handler text fits in ~4 KB — the
-// pinned operating-system reserve should stay close to the paper's
-// §4.5 numbers, which budget only a few KB beyond the page table.
-constexpr Addr tlbMissEntryOff = 0x000;       // 30 instrs = 120 B
-constexpr Addr pageFaultEntryOff = 0x100;     // 100 instrs = 400 B
-constexpr Addr contextSwitchEntryOff = 0x300; // 300 instrs = 1.2 KB
+// segment (4-byte instructions), packed so the whole handler text
+// fits in one 4 KB page — the pinned operating-system reserve should
+// stay close to the paper's §4.5 numbers, which budget only a few KB
+// beyond the page table.
+constexpr Addr tlbMissEntry = osVirtBase + 0x000;
+constexpr Addr pageFaultEntry = osVirtBase + 0x100;
+constexpr Addr contextSwitchEntry = osVirtBase + 0x300;
+/**
+ * Scheduler / process-table data: one 4 KB page above the text, so
+ * the whole fixed OS image stays compact.
+ */
+constexpr Addr osDataBase = osVirtBase + 0x1000;
 
 } // namespace
-
-HandlerTraces::HandlerTraces(const HandlerLayout &layout,
-                             const HandlerCosts &costs)
-    : lay(layout), cost(costs)
-{
-    RAMPAGE_ASSERT(cost.tlbMissInstrs > 0, "empty TLB handler");
-    RAMPAGE_ASSERT(cost.pageFaultInstrs > 0, "empty fault handler");
-    RAMPAGE_ASSERT(cost.contextSwitchInstrs > 0, "empty switch handler");
-}
 
 void
 HandlerTraces::emitBody(std::vector<MemRef> &out, Addr entry,
@@ -75,8 +70,7 @@ void
 HandlerTraces::tlbMiss(std::vector<MemRef> &out,
                        const std::vector<Addr> &probes)
 {
-    emitBody(out, lay.codeBase + tlbMissEntryOff, cost.tlbMissInstrs,
-             probes, 0.0);
+    emitBody(out, tlbMissEntry, tlbMissInstrs, probes, 0.0);
 }
 
 void
@@ -87,10 +81,9 @@ HandlerTraces::pageFault(std::vector<MemRef> &out,
     // bookkeeping data (free lists, statistics, transfer descriptors).
     std::vector<Addr> data = probes;
     // Bookkeeping data sits above the 18 PCB slots (18 * 0x100).
-    for (unsigned i = 0; i < cost.pageFaultData; ++i)
-        data.push_back(lay.dataBase + 0x1400 + 8 * i);
-    emitBody(out, lay.codeBase + pageFaultEntryOff, cost.pageFaultInstrs,
-             data, 0.4);
+    for (unsigned i = 0; i < pageFaultData; ++i)
+        data.push_back(osDataBase + 0x1400 + 8 * i);
+    emitBody(out, pageFaultEntry, pageFaultInstrs, data, 0.4);
 }
 
 void
@@ -100,23 +93,16 @@ HandlerTraces::contextSwitch(std::vector<MemRef> &out)
     // rotate through a few PCB slots so consecutive switches touch
     // different table entries, as a real ready queue would.
     std::vector<Addr> data;
-    data.reserve(cost.contextSwitchData);
-    Addr pcb_out = lay.dataBase + 0x100 * (switchSeq % 18);
-    Addr pcb_in = lay.dataBase + 0x100 * ((switchSeq + 1) % 18);
+    data.reserve(contextSwitchData);
+    Addr pcb_out = osDataBase + 0x100 * (switchSeq % 18);
+    Addr pcb_in = osDataBase + 0x100 * ((switchSeq + 1) % 18);
     ++switchSeq;
-    for (unsigned i = 0; i < cost.contextSwitchData / 2; ++i)
+    for (unsigned i = 0; i < contextSwitchData / 2; ++i)
         data.push_back(pcb_out + 8 * (i % 32));
-    for (unsigned i = 0; i < cost.contextSwitchData -
-                                 cost.contextSwitchData / 2; ++i)
+    for (unsigned i = 0; i < contextSwitchData - contextSwitchData / 2;
+         ++i)
         data.push_back(pcb_in + 8 * (i % 32));
-    emitBody(out, lay.codeBase + contextSwitchEntryOff,
-             cost.contextSwitchInstrs, data, 0.5);
-}
-
-std::size_t
-HandlerTraces::contextSwitchLength() const
-{
-    return cost.contextSwitchInstrs + cost.contextSwitchData;
+    emitBody(out, contextSwitchEntry, contextSwitchInstrs, data, 0.5);
 }
 
 } // namespace rampage

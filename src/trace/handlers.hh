@@ -10,14 +10,16 @@
  * produces equivalent handler reference streams:
  *
  *  - TLB miss handler: a hashed inverted-page-table lookup
- *    (~40 references — instruction fetches through a short handler
- *    body plus probes of the supplied page-table entry addresses);
+ *    (instruction fetches through a short handler body plus probes of
+ *    the supplied page-table entry addresses);
  *  - page-fault handler: victim selection, table update and transfer
- *    setup (~130 references — the paper's Atlas comparison puts the
- *    whole miss at "a few hundred to over 1,000 instructions"
- *    including the transfer);
+ *    setup (the paper's Atlas comparison puts the whole miss at "a
+ *    few hundred to over 1,000 instructions" including the transfer);
  *  - context switch: state save/restore and scheduler queue work
- *    (~400 references, the paper's number).
+ *    (the paper's ~400 references).
+ *
+ * The body sizes are fixed: each is stated once, on its constant in
+ * HandlerTraces.
  *
  * Callers supply the actual page-table entry addresses to probe, so
  * the handler's data traffic exercises the same physical structures
@@ -36,45 +38,29 @@
 namespace rampage
 {
 
-/** Virtual placement of the OS handler code and data. */
-struct HandlerLayout
-{
-    /** Handler text segment base. */
-    Addr codeBase = 0x0001'0000;
-    /**
-     * Scheduler / process-table data base: one 4 KB page above the
-     * text so the whole fixed OS image stays compact (the pinned
-     * reserve should track the paper's §4.5 accounting).
-     */
-    Addr dataBase = 0x0001'1000;
-};
-
-/** Reference counts for each synthesized handler (tunable). */
-struct HandlerCosts
-{
-    /** Instructions in the TLB-miss lookup body. */
-    unsigned tlbMissInstrs = 18;
-    /** Instructions in the page-fault service body. */
-    unsigned pageFaultInstrs = 56;
-    /** Data references in the page-fault body (beyond probes). */
-    unsigned pageFaultData = 10;
-    /** Instructions in the context-switch body. */
-    unsigned contextSwitchInstrs = 300;
-    /** Data references in the context-switch body. */
-    unsigned contextSwitchData = 100;
-};
-
 /**
  * Generator of handler reference streams.  All references carry
  * osPid; the OS code/data pages they touch are pinned in the SRAM
  * main memory under RAMpage and are ordinary cacheable pages under
- * the conventional hierarchy.
+ * the conventional hierarchy.  The handler text starts at osVirtBase.
  */
 class HandlerTraces
 {
   public:
-    explicit HandlerTraces(const HandlerLayout &layout = HandlerLayout{},
-                           const HandlerCosts &costs = HandlerCosts{});
+    /** TLB-miss body: 18 fetches, plus one load per supplied probe. */
+    static constexpr unsigned tlbMissInstrs = 18;
+    /**
+     * Page-fault body: 56 fetches and 10 bookkeeping data references,
+     * plus one per supplied probe.
+     */
+    static constexpr unsigned pageFaultInstrs = 56;
+    static constexpr unsigned pageFaultData = 10;
+    /** Context-switch body: 300 fetches and 100 data references. */
+    static constexpr unsigned contextSwitchInstrs = 300;
+    static constexpr unsigned contextSwitchData = 100;
+    /** Reference count of one context switch (§4.6: ~400). */
+    static constexpr std::size_t contextSwitchLength =
+        contextSwitchInstrs + contextSwitchData;
 
     /**
      * Append the TLB-miss handler body.
@@ -93,14 +79,8 @@ class HandlerTraces
     void pageFault(std::vector<MemRef> &out,
                    const std::vector<Addr> &probes);
 
-    /** Append the ~400-reference context-switch body (§4.6). */
+    /** Append the context-switch body (§4.6). */
     void contextSwitch(std::vector<MemRef> &out);
-
-    const HandlerLayout &layout() const { return lay; }
-    const HandlerCosts &costs() const { return cost; }
-
-    /** Reference count of one context switch (for sizing checks). */
-    std::size_t contextSwitchLength() const;
 
   private:
     /**
@@ -110,8 +90,6 @@ class HandlerTraces
     void emitBody(std::vector<MemRef> &out, Addr entry, unsigned instrs,
                   const std::vector<Addr> &data, double store_fraction);
 
-    HandlerLayout lay;
-    HandlerCosts cost;
     std::uint64_t switchSeq = 0; ///< rotates process-table slots
 };
 

@@ -39,6 +39,12 @@ using CoreId = std::uint32_t;
 /** Reserved pid for operating-system handler references. */
 constexpr Pid osPid = 0xffff;
 
+/**
+ * Virtual base of the pinned OS image: handler code, then handler
+ * data, then (under RAMpage) the inverted page table.
+ */
+constexpr Addr osVirtBase = 0x0001'0000;
+
 /** Picoseconds per common units. */
 constexpr Tick psPerNs = 1000;
 constexpr Tick psPerUs = 1000 * psPerNs;

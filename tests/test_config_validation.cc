@@ -262,12 +262,6 @@ TEST(HostileConfigClasses, OsReserveAndLayout)
     bad.paged.pager.osFixedBytes = std::uint64_t{1} << 62;
     expectConfigError([&] { makeHierarchy(bad); },
                       "operating-system reserve");
-
-    bad = hostilePagedBase();
-    bad.paged.pager.osVirtBase =
-        bad.common().handlerLayout.codeBase + 0x100;
-    expectConfigError([&] { makeHierarchy(bad); },
-                      "handler code base");
 }
 
 TEST(HostileConfigClasses, StandbyListBound)

@@ -20,7 +20,7 @@ TEST(Handlers, ContextSwitchIsAboutFourHundredRefs)
     HandlerTraces handlers;
     std::vector<MemRef> refs;
     handlers.contextSwitch(refs);
-    EXPECT_EQ(refs.size(), handlers.contextSwitchLength());
+    EXPECT_EQ(refs.size(), HandlerTraces::contextSwitchLength);
     EXPECT_GE(refs.size(), 380u);
     EXPECT_LE(refs.size(), 420u);
 }
@@ -54,7 +54,7 @@ TEST(Handlers, TlbMissIncludesSuppliedProbes)
     EXPECT_EQ(found, probes.size());
     // Body length: fixed instructions plus the probes.
     EXPECT_EQ(refs.size(),
-              handlers.costs().tlbMissInstrs + probes.size());
+              HandlerTraces::tlbMissInstrs + probes.size());
 }
 
 TEST(Handlers, TlbMissProbesAreLoads)
@@ -83,7 +83,7 @@ TEST(Handlers, PageFaultMixesLoadsAndStores)
         else
             ++loads;
     }
-    EXPECT_EQ(fetches, handlers.costs().pageFaultInstrs);
+    EXPECT_EQ(fetches, HandlerTraces::pageFaultInstrs);
     EXPECT_GT(loads, 0u);
     EXPECT_GT(stores, 0u);
 }
@@ -117,10 +117,9 @@ TEST(Handlers, BodiesFitCompactOsImage)
     handlers.pageFault(refs, {});
     for (int i = 0; i < 40; ++i)
         handlers.contextSwitch(refs); // rotates PCB slots
-    HandlerLayout lay;
     for (const MemRef &ref : refs) {
-        ASSERT_GE(ref.vaddr, lay.codeBase);
-        ASSERT_LT(ref.vaddr, lay.codeBase + 12 * 1024)
+        ASSERT_GE(ref.vaddr, osVirtBase);
+        ASSERT_LT(ref.vaddr, osVirtBase + 12 * 1024)
             << std::hex << ref.vaddr;
     }
 }
@@ -141,18 +140,6 @@ TEST(Handlers, ConsecutiveSwitchesTouchDifferentPcbs)
         }
     }
     EXPECT_TRUE(differs);
-}
-
-TEST(Handlers, CustomCosts)
-{
-    HandlerCosts costs;
-    costs.tlbMissInstrs = 10;
-    costs.contextSwitchInstrs = 50;
-    costs.contextSwitchData = 20;
-    HandlerTraces handlers(HandlerLayout{}, costs);
-    std::vector<MemRef> refs;
-    handlers.contextSwitch(refs);
-    EXPECT_EQ(refs.size(), 70u);
 }
 
 } // namespace

@@ -153,9 +153,8 @@ TEST(Rampage, OsRegionBypassesTlbAndNeverFaults)
 {
     auto hier_owner = makeHierarchy(smallConfig(1024));
     PagedHierarchy &hier = asPaged(*hier_owner);
-    Addr os_code = hier.pager().osVirtBase();
     std::uint64_t tlb_misses = hier.counts().tlbMisses;
-    auto out = hier.access(fetch(os_code, osPid));
+    auto out = hier.access(fetch(osVirtBase, osPid));
     EXPECT_FALSE(out.pageFault);
     EXPECT_EQ(hier.counts().tlbMisses, tlb_misses);
     EXPECT_EQ(hier.counts().dramReads, 0u);
@@ -172,7 +171,7 @@ TEST(Rampage, PinnedReserveSurvivesHeavyChurn)
     for (int i = 0; i < 20000; ++i)
         hier.access(load(0x10000000 + rng.below(1 << 22)));
     // Handler fetches still resolve below the pinned boundary.
-    Addr os_phys = hier.pager().osPhysAddr(hier.pager().osVirtBase());
+    Addr os_phys = hier.pager().osPhysAddr(osVirtBase);
     EXPECT_LT(os_phys,
               hier.pager().osFrames() * hier.pager().pageBytes());
     // And the table still resolves every resident page: spot check.

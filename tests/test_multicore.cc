@@ -185,34 +185,41 @@ TEST(Multicore, CoreCountIsValidated)
 
 // ------------------------------------------- coherence-lite residency
 
+// Page replacement finds every core's private copies through the
+// residency masks, with one core as with many, so both residency
+// tests run at one and at four cores.
+
 TEST(Multicore, StalePrivateCopyFaultTripsTheResidencyAudit)
 {
-    // Warm a four-core RAMpage hierarchy so every core holds live
-    // translations, then drop one core's residency bit out from under
-    // its TLB — the corruption page replacement would turn into a
-    // stale private copy.  The coherence.residency checker must fire.
-    HierarchyConfig cfg(rampageConfig(oneGhz, 1024));
-    cfg.common().cores = 4;
-    auto hier = makeHierarchy(cfg);
-    SimConfig sim;
-    sim.maxRefs = 40'000;
-    sim.quantumRefs = 5'000;
-    Simulator(*hier, makeWorkload(), sim).run();
+    // Warm a RAMpage hierarchy so every core holds live translations,
+    // then drop one core's residency bit out from under its TLB — the
+    // corruption page replacement would turn into a stale private
+    // copy.  The coherence.residency checker must fire.
+    for (unsigned cores : {1u, 4u}) {
+        SCOPED_TRACE("cores = " + std::to_string(cores));
+        HierarchyConfig cfg(rampageConfig(oneGhz, 1024));
+        cfg.common().cores = cores;
+        auto hier = makeHierarchy(cfg);
+        SimConfig sim;
+        sim.maxRefs = 40'000;
+        sim.quantumRefs = 5'000;
+        Simulator(*hier, makeWorkload(), sim).run();
 
-    // Positive control: the warmed hierarchy audits clean.
-    Auditor control(AuditLevel::Boundaries);
-    EXPECT_NO_THROW(control.auditHierarchy(*hier, "control"));
+        // Positive control: the warmed hierarchy audits clean.
+        Auditor control(AuditLevel::Boundaries);
+        EXPECT_NO_THROW(control.auditHierarchy(*hier, "control"));
 
-    FaultInjector injector(parseFaultPlan("stale-private-copy"));
-    ASSERT_TRUE(injector.apply(*hier))
-        << "warm run left no resident translation to corrupt";
+        FaultInjector injector(parseFaultPlan("stale-private-copy"));
+        ASSERT_TRUE(injector.apply(*hier))
+            << "warm run left no resident translation to corrupt";
 
-    Auditor auditor(AuditLevel::Boundaries);
-    try {
-        auditor.auditHierarchy(*hier, "stale private copy");
-        FAIL() << "a dropped residency bit passed the audit";
-    } catch (const AuditError &err) {
-        EXPECT_EQ(err.firstInvariant(), "coherence.residency");
+        Auditor auditor(AuditLevel::Boundaries);
+        try {
+            auditor.auditHierarchy(*hier, "stale private copy");
+            FAIL() << "a dropped residency bit passed the audit";
+        } catch (const AuditError &err) {
+            EXPECT_EQ(err.firstInvariant(), "coherence.residency");
+        }
     }
 }
 
@@ -220,18 +227,21 @@ TEST(Multicore, InjectedRunIsRejectedEndToEnd)
 {
     // The same fault through the simulator's injection seam: the run
     // itself must abort with the residency violation.
-    HierarchyConfig cfg(rampageConfig(oneGhz, 1024));
-    SimConfig sim;
-    sim.maxRefs = 40'000;
-    sim.quantumRefs = 5'000;
-    sim.cores = 4;
-    sim.auditLevel = AuditLevel::Boundaries;
-    sim.faultPlan = "stale-private-copy";
-    try {
-        simulateSystem(cfg, sim);
-        FAIL() << "injected run finished clean";
-    } catch (const AuditError &err) {
-        EXPECT_EQ(err.firstInvariant(), "coherence.residency");
+    for (unsigned cores : {1u, 4u}) {
+        SCOPED_TRACE("cores = " + std::to_string(cores));
+        HierarchyConfig cfg(rampageConfig(oneGhz, 1024));
+        SimConfig sim;
+        sim.maxRefs = 40'000;
+        sim.quantumRefs = 5'000;
+        sim.cores = cores;
+        sim.auditLevel = AuditLevel::Boundaries;
+        sim.faultPlan = "stale-private-copy";
+        try {
+            simulateSystem(cfg, sim);
+            FAIL() << "injected run finished clean";
+        } catch (const AuditError &err) {
+            EXPECT_EQ(err.firstInvariant(), "coherence.residency");
+        }
     }
 }
 

@@ -323,10 +323,11 @@ TEST(ObsSimulation, TracingDoesNotPerturbTheModel)
         EXPECT_EQ(entry.buckets, other->buckets) << entry.name;
     }
     for (const StatsSnapshot::Entry &entry : traced.stats.entries()) {
-        if (!plain.stats.find(entry.name))
+        if (!plain.stats.find(entry.name)) {
             EXPECT_TRUE(entry.name.rfind("sim.trace.", 0) == 0 ||
                         entry.name.rfind("sim.interval.", 0) == 0)
                 << entry.name;
+        }
     }
     std::remove(traced.traceFile.c_str());
     std::remove(traced.intervalFile.c_str());

@@ -124,9 +124,8 @@ TEST(Pager, FaultProbesLieInPinnedTable)
 TEST(Pager, OsPhysAddrIsIdentityIntoReserve)
 {
     PageStore pager(smallParams());
-    Addr base = pager.osVirtBase();
-    EXPECT_EQ(pager.osPhysAddr(base), 0u);
-    EXPECT_EQ(pager.osPhysAddr(base + 123), 123u);
+    EXPECT_EQ(pager.osPhysAddr(osVirtBase), 0u);
+    EXPECT_EQ(pager.osPhysAddr(osVirtBase + 123), 123u);
     // The whole OS image maps below the pinned boundary.
     Addr last = pager.osVirtEnd() - 1;
     EXPECT_LT(pager.osPhysAddr(last),

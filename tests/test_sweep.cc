@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "core/conventional.hh"
+#include "core/paged.hh"
 #include "core/sweep.hh"
 #include "run_env.hh"
 #include "util/error.hh"
@@ -200,11 +202,11 @@ TEST(Sweep, BaselineConfigMatchesPaper)
     EXPECT_EQ(cfg.common.l1BlockBytes, 32u);
     EXPECT_EQ(cfg.common.tlb.entries, 64u);
     EXPECT_EQ(cfg.common.tlb.assoc, 0u); // fully associative
-    EXPECT_EQ(cfg.common.l2HitCycles, 12u);
-    EXPECT_EQ(cfg.common.l1WritebackCycles, 12u);
-    EXPECT_EQ(cfg.common.l1WritebackCyclesRampage, 9u);
-    EXPECT_EQ(cfg.common.rambus.accessLatencyPs, 50'000u);
-    EXPECT_EQ(cfg.common.rambus.bytesPerBeat, 2u);
+    EXPECT_EQ(Hierarchy::l2HitCycles, 12u);
+    EXPECT_EQ(ConventionalHierarchy::l1WritebackCycles, 12u);
+    EXPECT_EQ(PagedHierarchy::l1WritebackCycles, 9u);
+    EXPECT_EQ(DirectRambus::accessLatencyPs, 50'000u);
+    EXPECT_EQ(DirectRambus::bytesPerBeat, 2u);
     EXPECT_EQ(cfg.common.dramPageBytes, 4096u);
 }
 

@@ -74,7 +74,6 @@ TEST_P(UniformEquivalence, LayoutMatchesFixedPager)
     EXPECT_EQ(f.totalFrames(), d.totalFrames());
     EXPECT_EQ(f.osFrames(), d.osFrames());
     EXPECT_EQ(f.userFrames(), d.userFrames());
-    EXPECT_EQ(f.osVirtBase(), d.osVirtBase());
     EXPECT_EQ(f.osVirtEnd(), d.osVirtEnd());
     EXPECT_EQ(f.tableVirtBase(), d.tableVirtBase());
 }
