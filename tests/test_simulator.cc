@@ -210,8 +210,15 @@ pinSystem(int system)
         return twoWayConfig(oneGhz, 128);
       case 2:
         return rampageConfig(oneGhz, 1024);
-      default:
+      case 3:
         return rampageConfig(oneGhz, 1024, true);
+      default: {
+        // A 128 KiB SRAM main memory of 128 B pages: the run replaces
+        // (and writes back) pages, so the fault path is pinned too.
+        RampageConfig cfg = rampageConfig(oneGhz, 128);
+        cfg.pager.baseSramBytes = 128 * kib;
+        return cfg;
+      }
     }
 }
 
@@ -225,13 +232,15 @@ enum class PinRun
 
 /**
  * Hashes of the full stats snapshot plus elapsed time for every
- * (system, run, audit) combination below, captured before the three
- * run loops were folded into one driver.  The traced rows include the
+ * (system, run, audit) combination below.  The first four systems
+ * were captured before the three run loops were folded into one
+ * driver, the page-replacement row before handler bodies were replayed
+ * run by run.  The traced rows include the
  * sim.trace.events / sim.interval.epochs counters.  Any change to a
  * single simulated quantity changes them; regenerate only for a
  * deliberate change to the model.
  */
-const std::uint64_t pinned[4][3][2] = {
+const std::uint64_t pinned[5][3][2] = {
     // baseline 128 B
     {{0xd1960f20810a79b1ull, 0x36af549c5b2031ddull},
      {0x69558f43464c99cbull, 0xb6f3bf9e78ab62daull},
@@ -248,6 +257,10 @@ const std::uint64_t pinned[4][3][2] = {
     {{0x92ea95a970f2dfd0ull, 0xefd36ee7b2c67897ull},
      {0xd8a494b2401d030dull, 0x703077c0b8b70225ull},
      {0xfad3e0fc9ef7c973ull, 0x2a06be9654106072ull}},
+    // RAMpage 128 B over a 128 KiB SRAM (page replacement)
+    {{0x302475de8091a6abull, 0xe9e6d2b27047ebb4ull},
+     {0x3b58cb66986b90bbull, 0xa73a0a0d301169f1ull},
+     {0xc7cd822f5f645365ull, 0x7db7ce21c4493990ull}},
 };
 
 class SnapshotPin
@@ -275,6 +288,13 @@ TEST_P(SnapshotPin, MatchesCapturedHash)
         std::remove(result.traceFile.c_str());
         std::remove(result.intervalFile.c_str());
     }
+    if (system == 4) {
+        const StatsSnapshot::Entry *wb =
+            result.stats.find("pager.dirty_writebacks");
+        ASSERT_NE(wb, nullptr);
+        EXPECT_GT(wb->counter, 0u) << "the replacement row wrote back "
+                                      "no dirty page";
+    }
     const std::uint64_t got = snapshotHash(result);
     char hex[24];
     std::snprintf(hex, sizeof hex, "0x%016llx",
@@ -287,7 +307,8 @@ std::string
 pinName(const ::testing::TestParamInfo<SnapshotPin::ParamType> &info)
 {
     static const char *const systems[] = {"baseline128", "twoWay128",
-                                          "rampage1k", "rampageSom1k"};
+                                          "rampage1k", "rampageSom1k",
+                                          "rampage128Sram128k"};
     static const char *const runs[] = {"cores1", "cores4",
                                        "cores1Traced"};
     return std::string(systems[std::get<0>(info.param)]) + "_" +
@@ -297,7 +318,7 @@ pinName(const ::testing::TestParamInfo<SnapshotPin::ParamType> &info)
 
 INSTANTIATE_TEST_SUITE_P(
     SystemsCoresAudit, SnapshotPin,
-    ::testing::Combine(::testing::Range(0, 4),
+    ::testing::Combine(::testing::Range(0, 5),
                        ::testing::Values(PinRun::OneCore,
                                          PinRun::FourCores,
                                          PinRun::OneCoreTraced),
