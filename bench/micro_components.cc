@@ -3,7 +3,7 @@
  * google-benchmark microbenchmarks of the simulator's hot paths: the
  * cache tag walk, TLB lookup (hit and miss), insert and invalidate,
  * inverted-page-table lookup, synthetic trace generation, Rambus
- * pricing, and whole-hierarchy access.
+ * pricing, whole-hierarchy access and handler-trace replay.
  * These document the simulator's own performance (references per
  * second), which bounds how far RAMPAGE_FULL-scale runs can go.
  */
@@ -20,6 +20,7 @@
 #include "os/inverted_page_table.hh"
 #include "tlb/tlb.hh"
 #include "trace/benchmarks.hh"
+#include "trace/handlers.hh"
 #include "trace/synthetic.hh"
 #include "util/random.hh"
 
@@ -185,6 +186,27 @@ BM_RampageAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RampageAccess)->Arg(128)->Arg(1024)->Arg(4096);
+
+/**
+ * Handler-trace replay: one ~400-reference context-switch body per
+ * iteration, on the 128 B baseline (arg 0) and on RAMpage with
+ * 128 B pages (arg 1).  The OS text stays L1-resident between
+ * switches, as it does between the simulator's time slices.
+ */
+void
+BM_ContextSwitchTrace(benchmark::State &state)
+{
+    constexpr std::uint64_t hz = 1'000'000'000ull;
+    auto hier = state.range(0) == 0
+                    ? makeHierarchy(baselineConfig(hz, 128))
+                    : makeHierarchy(rampageConfig(hz, 128));
+    state.SetLabel(hier->name());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(hier->runContextSwitchTrace());
+    state.SetItemsProcessed(state.iterations() *
+                            HandlerTraces::contextSwitchLength);
+}
+BENCHMARK(BM_ContextSwitchTrace)->Arg(0)->Arg(1);
 
 } // namespace
 

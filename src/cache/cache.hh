@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "util/error.hh"
 #include "util/random.hh"
 #include "util/types.hh"
 
@@ -119,6 +120,29 @@ class SetAssocCache
         }
         accessMiss(result, addr, set, tag, is_write);
         return result;
+    }
+
+    /**
+     * Charge `k` further read hits on the resident block holding
+     * `addr`: exactly the state and statistics that `k` calls of
+     * access(addr, false) leave, in one step.  The engine charges a
+     * handler's same-block fetch run with it (access_engine.hh).
+     */
+    void
+    hitRepeat(Addr addr, std::uint64_t k)
+    {
+        if (k == 0)
+            return;
+        Line *base = &lines[setIndex(addr) * nWays];
+        const Addr tag = tagOf(addr);
+        unsigned w = 0;
+        while (w < nWays && !(base[w].valid && base[w].tag == tag))
+            ++w;
+        RAMPAGE_ASSERT(w < nWays, "hitRepeat on a block not resident");
+        useCounter += k;
+        if (prm.repl == ReplPolicy::LRU)
+            base[w].stamp = useCounter;
+        stat.hits += k;
     }
 
     /** @return true if the block holding addr is present (no state change). */

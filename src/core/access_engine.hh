@@ -6,7 +6,11 @@
  * The sequencing — TLB lookup (behind a per-stream last-translation
  * cache), translation walk with its interleaved handler trace, fault
  * resolution, then the L1 + lower-level walk — is identical for every
- * hierarchy; only the policy hooks below differ.  Each concrete
+ * hierarchy; only the policy hooks below differ.  Handler bodies are
+ * replayed straight from their HandlerTraces walk, never built as a
+ * reference list: HandlerReplay charges each run of same-block
+ * fetches with one L1 probe plus bulk hit accounting, and each data
+ * reference through cachedAccess.  Each concrete
  * hierarchy is `final` and instantiates the engine on itself (H = the
  * concrete class), so the compiler binds every hook statically —
  * which is what makes the simulator's inner loop cheap.  The hooks
@@ -63,6 +67,8 @@
 
 #ifndef RAMPAGE_CORE_ACCESS_ENGINE_HH
 #define RAMPAGE_CORE_ACCESS_ENGINE_HH
+
+#include <algorithm>
 
 #include "core/hierarchy.hh"
 #include "obs/trace_session.hh"
@@ -135,11 +141,10 @@ struct AccessEngine
                     fe.probeScratch.clear();
                     Hierarchy::TranslationWalk walk =
                         h.walkTranslation(ref.pid, vpn, fe.probeScratch);
-                    fe.handlerScratch.clear();
-                    h.handlers.tlbMiss(fe.handlerScratch,
-                                       fe.probeScratch);
-                    runHandlerRefs(h, fe.handlerScratch,
-                                   Hierarchy::OverheadKind::TlbMiss);
+                    HandlerReplay<H> replay(
+                        h, &h.evt.tlbMissOverheadRefs);
+                    HandlerTraces::walkTlbMiss(fe.probeScratch,
+                                               replay.runBytes, replay);
 
                     if (walk.resolved)
                         frame = walk.frame;
@@ -260,58 +265,103 @@ struct AccessEngine
     }
 
     /**
-     * Run a handler reference stream through the hierarchy.  Handler
-     * references never recurse into further handler work (OS pages
-     * bypass the TLB and are always resident).
+     * Walk sink that charges a handler body (HandlerTraces) through
+     * the hierarchy.  Handler references never recurse into further
+     * handler work: OS pages bypass the TLB and are always resident.
+     *
+     * A fetch run is charged with one L1 probe.  The run head goes
+     * through cachedAccess like any reference; the other k - 1
+     * fetches of the run are hits on the block the head left
+     * resident, so their counters, issue cycles and L1I hit state are
+     * added in bulk (SetAssocCache::hitRepeat).  That is exact: no
+     * other reference runs inside a run, the head's fill evicts only
+     * other blocks (an inclusion victim is never the block being
+     * filled), and random-replacement draws and trace events happen
+     * only on misses, which the head still takes per reference.  The
+     * run width is the L1 block size, and osPhysAddr moves the OS
+     * image by a multiple of HandlerTraces::maxRunBytes, so a virtual
+     * run lies in one physical L1 block.
+     */
+    template <class H>
+    struct HandlerReplay
+    {
+        /**
+         * @param kind_refs the body's own overhead counter
+         *        (EventCounts::tlbMissOverheadRefs or
+         *        faultOverheadRefs), or nullptr for a context switch.
+         */
+        HandlerReplay(H &hier, std::uint64_t *kind_refs)
+            : h(hier),
+              runBytes(static_cast<unsigned>(
+                  std::min(hier.cfg.l1BlockBytes,
+                           HandlerTraces::maxRunBytes))),
+              kindRefs(kind_refs)
+        {
+        }
+
+        void
+        fetchRun(Addr vaddr, unsigned k)
+        {
+            count(1);
+            const Addr paddr = h.osPhysAddr(vaddr);
+            cachedAccess(h, MemRef{vaddr, RefKind::IFetch, osPid}, paddr);
+            const unsigned rest = k - 1;
+            if (rest == 0)
+                return;
+            count(rest);
+            h.evt.instrFetches += rest;
+            h.evt.l1iCycles += Cycles{rest} * Hierarchy::l1HitCycles;
+            h.fe().l1iCache.hitRepeat(paddr, rest);
+        }
+
+        void
+        data(Addr vaddr, bool is_store)
+        {
+            count(1);
+            cachedAccess(h,
+                         MemRef{vaddr,
+                                is_store ? RefKind::Store : RefKind::Load,
+                                osPid},
+                         h.osPhysAddr(vaddr));
+        }
+
+        void
+        count(std::uint64_t n)
+        {
+            h.evt.refs += n;
+            h.evt.overheadRefs += n;
+            if (kindRefs)
+                *kindRefs += n;
+        }
+
+        H &h;
+        const unsigned runBytes; ///< the L1 block (at most maxRunBytes)
+        std::uint64_t *const kindRefs;
+    };
+
+    /**
+     * The ~400-reference context-switch trace (§4.6).
      * @return CPU time consumed.
      */
     template <class H>
     static Tick
-    runHandlerRefs(H &h, const std::vector<MemRef> &refs,
-                   Hierarchy::OverheadKind kind)
+    runContextSwitchTrace(H &h)
     {
         Cycles cyc_before =
             h.evt.l1iCycles + h.evt.l1dCycles + h.evt.l2Cycles;
         Tick dram_before = h.evt.dramPs;
 
-        for (const MemRef &ref : refs) {
-            RAMPAGE_ASSERT(ref.pid == osPid,
-                           "handler trace must use osPid");
-            ++h.evt.refs;
-            ++h.evt.overheadRefs;
-            switch (kind) {
-              case Hierarchy::OverheadKind::TlbMiss:
-                ++h.evt.tlbMissOverheadRefs;
-                break;
-              case Hierarchy::OverheadKind::PageFault:
-                ++h.evt.faultOverheadRefs;
-                break;
-              case Hierarchy::OverheadKind::ContextSwitch:
-                break;
-            }
-            cachedAccess(h, ref, h.osPhysAddr(ref.vaddr));
-        }
+        ++h.evt.contextSwitches;
+        // A context switch changes the translating process: drop the
+        // last-translation cache (part of its audited invariant).
+        h.fe().transCacheInvalidate();
+        HandlerReplay<H> replay(h, nullptr);
+        h.handlers.walkContextSwitch(replay.runBytes, replay);
 
         Cycles cyc_after =
             h.evt.l1iCycles + h.evt.l1dCycles + h.evt.l2Cycles;
         return (cyc_after - cyc_before) * h.cycPs +
                (h.evt.dramPs - dram_before);
-    }
-
-    /** The ~400-reference context-switch trace (§4.6). */
-    template <class H>
-    static Tick
-    runContextSwitchTrace(H &h)
-    {
-        CoreFrontend &fe = h.fe();
-        fe.handlerScratch.clear();
-        h.handlers.contextSwitch(fe.handlerScratch);
-        ++h.evt.contextSwitches;
-        // A context switch changes the translating process: drop the
-        // last-translation cache (part of its audited invariant).
-        fe.transCacheInvalidate();
-        return runHandlerRefs(h, fe.handlerScratch,
-                              Hierarchy::OverheadKind::ContextSwitch);
     }
 };
 

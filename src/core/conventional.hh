@@ -98,6 +98,10 @@ class ConventionalHierarchy final : public Hierarchy
   private:
     /** Physical base of the OS handler code/data image in DRAM. */
     static constexpr Addr osImageBase = Addr{1} << 41;
+    // Handler fetch runs are formed on virtual addresses
+    // (AccessEngine::HandlerReplay).
+    static_assert(osImageBase % HandlerTraces::maxRunBytes == 0,
+                  "the OS image must keep virtual runs in one L1 block");
 
     ConventionalConfig ccfg;
     SetAssocCache l2Cache;

@@ -2,8 +2,8 @@
  * @file
  * The per-CPU half of the core/memory seam: everything a single core
  * owns privately — its split L1 caches, its TLB with the per-stream
- * last-translation cache in front of it, and the scratch buffers the
- * handler-trace interleave reuses.  A Hierarchy owns one CoreFrontend
+ * last-translation cache in front of it, and the scratch list of the
+ * page-table words a TLB-miss walk touched.  A Hierarchy owns one CoreFrontend
  * per configured core (CommonConfig::cores) over one shared
  * MemoryBackend (src/core/memory_backend.hh); the AccessEngine
  * (src/core/access_engine.hh) runs the access sequence against the
@@ -13,8 +13,8 @@
  * With cores == 1 the single frontend is exactly the state the
  * monolithic Hierarchy used to hold inline — same seeds, same
  * registration order, same statistics names — so single-core runs
- * stay bit-identical to the pre-split engine (golden stdout plus
- * tests/test_dispatch_equivalence.cc prove it).
+ * stay bit-identical to the pre-split engine (the golden stdout and
+ * the cores1 rows of SnapshotPin in tests/test_simulator.cc pin it).
  */
 
 #ifndef RAMPAGE_CORE_CORE_FRONTEND_HH
@@ -124,8 +124,7 @@ struct CoreFrontend
                 tc.valid = false;
     }
 
-    /** Scratch buffer reused by handler-trace synthesis. */
-    std::vector<MemRef> handlerScratch;
+    /** Page-table words a TLB-miss walk touched (reused per miss). */
     std::vector<Addr> probeScratch;
 };
 

@@ -222,14 +222,6 @@ class Hierarchy
     friend class FaultInjector;
     /** The statically-dispatched access bodies (access_engine.hh). */
     friend struct AccessEngine;
-    /** Category a handler-trace reference is accounted under. */
-    enum class OverheadKind
-    {
-        TlbMiss,
-        PageFault,
-        ContextSwitch,
-    };
-
     /**
      * Outcome of a translation walk on a TLB miss (the
      * walkTranslation policy hook, see access_engine.hh).

@@ -222,11 +222,9 @@ PagedHierarchy::servicePageFault(Pid pid, std::uint64_t vpn,
 
     // The fault handler body, interleaved through the hierarchy (the
     // faulting core runs it); its table probes hit the pinned reserve.
-    std::vector<MemRef> &scratch = fe().handlerScratch;
-    scratch.clear();
-    handlers.pageFault(scratch, fault.probes);
-    AccessEngine::runHandlerRefs(*this, scratch,
-                                 OverheadKind::PageFault);
+    AccessEngine::HandlerReplay<PagedHierarchy> replay(
+        *this, &evt.faultOverheadRefs);
+    HandlerTraces::walkPageFault(fault.probes, replay.runBytes, replay);
 
     // The replacement policy's frame-table scan (the clock hand's
     // travel) costs one cycle per inspected entry on top of the fixed
